@@ -2,9 +2,13 @@
 run verification experiments.
 
 Exit codes are a stable contract: 0 success (for ``verify``, verdict pass),
-1 runtime failure, 2 usage error.  All randomness flows from ``--seed``;
-when absent the ``HURST_SEED`` environment variable is consulted, then the
-fixed default 1899, so every run is deterministic.
+1 runtime failure, 2 usage error.  A usage error is a ``ValueError`` raised
+by this package's own input checks; one raised inside numpy, scipy or any
+other library is an internal fault and exits 1 like any other failure.
+
+All randomness flows from ``--seed``; when absent the ``HURST_SEED``
+environment variable is consulted, then the fixed default 1899, so every run
+is deterministic.
 
 Numbers print with 9 significant digits; JSON output keeps full precision.
 """
@@ -25,6 +29,7 @@ from .posterior import (GRID_MAX, GRID_MIN, credible_interval, map_estimate,
                         posterior_grid, posterior_moments, solve_alpha_n)
 
 DEFAULT_SEED = harness.DEFAULT_MASTER_SEED
+_PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__))
 
 _EXPERIMENTS = ("slln", "determinant", "concentration", "factorization",
                 "inverse", "moments")
@@ -220,6 +225,15 @@ def cmd_verify(args) -> int:
     return 0 if report.passed() else 1
 
 
+def _raised_in_package(exc: BaseException) -> bool:
+    """True when the innermost traceback frame lies in this package."""
+    tb = exc.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    path = os.path.abspath(tb.tb_frame.f_code.co_filename)
+    return os.path.dirname(path) == _PACKAGE_DIR
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -229,11 +243,11 @@ def main(argv=None) -> int:
         if args.command == "estimate":
             return cmd_estimate(args, parser)
         return cmd_verify(args)
-    except ValueError as exc:
-        # domain and parse problems are usage errors by contract
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports, not raises
+        if isinstance(exc, ValueError) and _raised_in_package(exc):
+            # the package's domain and parse checks are usage errors by contract
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(f"failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

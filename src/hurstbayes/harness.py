@@ -29,7 +29,8 @@ import numpy as np
 import scipy.linalg
 
 from ._quadrature import adaptive_simpson
-from .factorization import (q_coefficient_check, r_coefficient_decay,
+# r_coefficient_decay is not called here; perfbench/tracing.py wraps this name
+from .factorization import (q_coefficient_check, r_coefficient_decay,  # noqa: F401
                             w_asymptotics)
 from .fgn import replicate_rng, sample_fgn
 from .moments import (MAX_ORDER, QuadFormInstance, psi_composition_representation,
@@ -453,7 +454,14 @@ def run_concentration(h_hat, n_list: Sequence[int] = (1024, 4096),
 def run_factorization_suite(alphas: Sequence[float] = (0.2, -0.2, 0.3, -0.3),
                             k_max: int = 10_000) -> ExperimentReport:
     """Whitening-coefficient checks per singularity exponent: identity on the
-    grid, q-hat residual decay, r-hat decay, and the w-hat tail constant."""
+    grid, q-hat residual decay, r-hat decay, and the w-hat tail constant.
+
+    The first three come from one q_coefficient_check per exponent, i.e. one
+    lattice pass over half of the default 2^16-point grid.  That grid limits
+    the identity check: truncating r at m/4 leaves an error of about
+    m^-(2+2 alpha), which passes the 1e-6 tolerance only for alpha above
+    about -0.375 (at alpha = -0.4 it measures 2.0e-6).
+    """
     t0 = time.time()
     alphas = [_symbol_value(a) for a in alphas]
     params = {"alphas": alphas, "k_max": k_max}
@@ -469,7 +477,7 @@ def run_factorization_suite(alphas: Sequence[float] = (0.2, -0.2, 0.3, -0.3),
             k_max, None, rep.residual_slope, rep.slope_target, 0.2,
             rep.passed and not rep.failed_floor,
             f"q-hat residual decay exponent vs -(2+alpha), alpha={a}"))
-        fit = r_coefficient_decay(a)
+        fit = rep.r_decay
         records.append(ExperimentRecord(
             k_max, None, fit.slope, fit.target,
             THRESHOLDS["fact_r_slope_tol"],

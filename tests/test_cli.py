@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from hurstbayes import harness
@@ -156,3 +157,16 @@ def test_env_seed_resolution(tmp_path, capsys, monkeypatch):
                       "--out", str(tmp_path / "c.csv"))
     assert rc == 2
     assert "HURST_SEED" in err
+
+
+def test_internal_value_error_is_runtime_failure(tmp_path, capsys, monkeypatch):
+    # a ValueError raised inside numpy is a fault of the program, not a usage
+    # error: it must exit 1 with its type, not 2
+    def broken(**_):
+        return np.ones(3) + np.ones(2)
+
+    monkeypatch.setattr(harness, "run_moment_suite", broken)
+    rc, _, err = _run(capsys, "verify", "moments",
+                      "--out", str(tmp_path / "r"))
+    assert rc == 1
+    assert "failure: ValueError:" in err

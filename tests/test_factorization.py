@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 import scipy.special
 
-from hurstbayes.factorization import (FourierCoeffs, analytic_sqrt,
+from hurstbayes import factorization, symbols
+from hurstbayes.factorization import (FourierCoeffs, _outer_root, analytic_sqrt,
                                       factorization_identity_error,
                                       hilbert_transform, q_coefficient_check,
                                       r_coefficient_decay, singular_log_conjugate,
                                       singular_log_series, smooth_part,
                                       split_symbol, torus_grid, w_asymptotics,
                                       w_hat, w_hat_seq, whitening_coeffs)
-from hurstbayes.symbols import norming_constant, sinai_density
+from hurstbayes.harness import run_factorization_suite
+from hurstbayes.symbols import DEFAULT_TRUNCATION, norming_constant, sinai_density
 
 # outer-root values at t = 0 pinned from the factorization pipeline itself;
 # these regress both the splitting and the coefficient route
@@ -42,6 +44,16 @@ def test_w_hat_matches_binomial():
     assert np.allclose(seq, ref, rtol=1e-13)
     assert w_hat(alpha, 5) == pytest.approx(seq[5], rel=1e-14)
     assert seq[0] == 1.0
+
+
+@pytest.mark.parametrize("alpha", [0.2, -0.2, 0.3, -0.3])
+def test_w_hat_seq_matches_scalar_recurrence(alpha):
+    k_max = 100_000
+    ref = np.empty(k_max + 1)
+    ref[0] = 1.0
+    for k in range(1, k_max + 1):
+        ref[k] = ref[k - 1] * (k - 1 - alpha) / k
+    assert np.allclose(w_hat_seq(alpha, k_max), ref, rtol=1e-12, atol=0.0)
 
 
 def test_hilbert_transform_sign_convention():
@@ -137,6 +149,7 @@ def test_outer_root_constant_frozen(alpha):
     assert r.at_zero().real == pytest.approx(C_ALPHA[alpha], rel=1e-5)
 
 
+@pytest.mark.filterwarnings("ignore:decay-fit window shrunk:RuntimeWarning")
 @pytest.mark.parametrize("alpha", [0.25, -0.25])
 def test_q_residual_decay(alpha):
     rep = q_coefficient_check(alpha)
@@ -167,3 +180,57 @@ def test_w_asymptotics_classical_constant():
         assert rep.measured == pytest.approx(rep.classical, rel=1e-4)
     with pytest.raises(ValueError):
         w_asymptotics(0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.2, -0.3])
+def test_suite_evaluates_lattice_once_on_half_grid(alpha, monkeypatch):
+    # one q_coefficient_check per exponent feeds the identity, q-residual and
+    # r-decay records: a single lattice pass over the 2^15 positive midpoints
+    norming_constant(alpha + 0.5)  # the lru-cached quadrature is not counted
+    points = []
+    original = symbols.lattice_sum_regular
+
+    def counting(t, *args, **kwargs):
+        points.append(np.size(t))
+        return original(t, *args, **kwargs)
+
+    monkeypatch.setattr(symbols, "lattice_sum_regular", counting)
+    monkeypatch.setattr(factorization, "lattice_sum_regular", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        run_factorization_suite([alpha])
+    assert sum(points) == 1 << 15
+
+
+@pytest.mark.parametrize("alpha", [0.2, -0.3])
+def test_outer_root_samples_are_even_and_match_full_grid(alpha):
+    smooth, r = _outer_root(alpha, 16, DEFAULT_TRUNCATION)
+    assert smooth.size == 1 << 16
+    assert np.array_equal(smooth, smooth[::-1])
+    full = smooth_part(alpha, torus_grid(16))
+    assert np.allclose(smooth, full, rtol=1e-14, atol=0.0)
+    assert r.k_max == (1 << 14)
+
+
+# (identity error, q-residual slope, r-decay slope, w-hat tail constant) of
+# the factorization suite, frozen from the three-pass full-grid evaluation
+FACTORIZATION_RECORDS = {
+    0.2: (7.137623825315131e-13, -2.202405464910705, -3.399080389052542,
+          -0.1717876099908469),
+    -0.2: (6.364484494980616e-09, -1.8184648542807262, -2.61789276809606,
+           0.21782470995112244),
+    0.3: (1.1057821325266559e-13, -2.3024970745278814, -3.5987003815700196,
+          -0.23111540583521253),
+    -0.3: (1.0557273988354154e-07, -1.709005078393704, -2.4237643980512957,
+           0.33427240157858074),
+}
+
+
+@pytest.mark.filterwarnings("ignore:decay-fit window shrunk:RuntimeWarning")
+@pytest.mark.parametrize("alpha", sorted(FACTORIZATION_RECORDS))
+def test_factorization_suite_records_frozen(alpha):
+    rep = run_factorization_suite([alpha])
+    assert rep.passed()
+    got = [r.statistic for r in rep.records]
+    assert got == pytest.approx(list(FACTORIZATION_RECORDS[alpha]),
+                                rel=1e-6, abs=1e-12)
