@@ -8,6 +8,8 @@ prediction variance).
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _BREAKDOWN = 1.0 - 1e-12
@@ -17,22 +19,26 @@ def _durbin_py(gam):
     n = gam.shape[0]
     refl = np.zeros(max(n - 1, 0))
     sig = np.empty(n)
+    # ar[n - 1 - j] holds predictor coefficient a[j]: stored reversed, the
+    # inner product and the symmetric update read contiguous slices
+    ar = np.zeros(n)
     sig[0] = gam[0]
     if gam[0] <= 0.0:
-        return refl, sig, 1
-    a = np.zeros(max(n - 1, 0))
+        return refl, sig, ar[:0:-1], 1
+    s = sig[0]
     for m in range(1, n):
-        acc = gam[m] - np.dot(a[:m - 1], gam[m - 1:0:-1])
-        k = acc / sig[m - 1]
-        if not np.isfinite(k) or abs(k) >= _BREAKDOWN:
-            return refl, sig, m
-        a[:m - 1] = a[:m - 1] - k * a[:m - 1][::-1]
-        a[m - 1] = k
+        seg = ar[n - m + 1:]
+        k = (gam[m] - np.dot(seg, gam[1:m])) / s
+        if not math.isfinite(k) or abs(k) >= _BREAKDOWN:
+            return refl, sig, ar[:0:-1], m
+        seg -= k * seg[::-1]
+        ar[n - m] = k
         refl[m - 1] = k
-        sig[m] = sig[m - 1] * (1.0 - k * k)
-        if sig[m] <= 0.0:
-            return refl, sig, m
-    return refl, sig, 0
+        s = s * (1.0 - k * k)
+        sig[m] = s
+        if s <= 0.0:
+            return refl, sig, ar[:0:-1], m
+    return refl, sig, ar[:0:-1], 0
 
 
 def _solve_py(gam, y):
@@ -68,17 +74,17 @@ try:  # pragma: no cover - exercised indirectly
         n = gam.shape[0]
         refl = np.zeros(max(n - 1, 0))
         sig = np.empty(n)
+        a = np.zeros(max(n - 1, 0))
         sig[0] = gam[0]
         if gam[0] <= 0.0:
-            return refl, sig, 1
-        a = np.zeros(max(n - 1, 0))
+            return refl, sig, a, 1
         for m in range(1, n):
             acc = gam[m]
             for j in range(1, m):
                 acc -= a[j - 1] * gam[m - j]
             k = acc / sig[m - 1]
             if not np.isfinite(k) or abs(k) >= _BREAKDOWN:
-                return refl, sig, m
+                return refl, sig, a, m
             half = (m - 1) // 2
             for j in range(half):
                 u = a[j] - k * a[m - 2 - j]
@@ -91,8 +97,8 @@ try:  # pragma: no cover - exercised indirectly
             refl[m - 1] = k
             sig[m] = sig[m - 1] * (1.0 - k * k)
             if sig[m] <= 0.0:
-                return refl, sig, m
-        return refl, sig, 0
+                return refl, sig, a, m
+        return refl, sig, a, 0
 
     @njit(cache=True, nogil=True)
     def _solve_jit(gam, y):
@@ -140,14 +146,16 @@ except Exception:  # pragma: no cover
 
 
 def durbin(gam):
-    """Reflection coefficients and prediction variances of a symmetric
+    """Reflection coefficients, prediction variances, status and the order
+    n-1 forward predictor a_1..a_{n-1} (x_t is predicted by
+    sum_j a_j x_{t-j}; valid when status is 0) of a symmetric
     positive-definite Toeplitz matrix given its first row ``gam``."""
     gam = np.ascontiguousarray(gam, dtype=float)
     if HAVE_JIT:
-        refl, sig, status = _durbin_jit(gam)
+        refl, sig, pred, status = _durbin_jit(gam)
     else:
-        refl, sig, status = _durbin_py(gam)
-    return refl, sig, int(status)
+        refl, sig, pred, status = _durbin_py(gam)
+    return refl, sig, int(status), pred
 
 
 def levinson_solve(gam, y):

@@ -3,7 +3,10 @@ quadratic forms, and the asymptotic envelope for inverse entries.
 
 The primary factorisation is Levinson-Durbin, which yields the reflection
 coefficients, the prediction-error variances (whose product is the
-determinant), and O(n^2) solves without materialising the matrix.  A dense
+determinant), and O(n^2) solves without materialising the matrix.  Its last
+forward predictor fixes T^{-1} through the Gohberg-Semencul formula, so a
+quadratic form <y, T^{-1} y> costs two FFT convolutions once the matrix is
+factored, instead of a second O(n^2) pass.  A dense
 Cholesky fallback engages if a reflection coefficient reaches magnitude
 1 - 1e-12; for the fractional Gaussian autocovariances this never happens in
 the supported range, but the escape hatch keeps near-degenerate inputs honest.
@@ -43,7 +46,8 @@ class ToeplitzSystem:
     ``pred_var`` holds the prediction-error variances sigma^2_0..sigma^2_{n-1}
     (non-increasing, positive); ``logdet`` is their log-sum.  ``reflection``
     holds the n-1 reflection coefficients, NaN on the dense fallback path
-    where the recursion did not complete.
+    where the recursion did not complete.  ``predictor`` holds the order n-1
+    forward predictor the quadratic form is built from, None on that path.
     """
     gammas: np.ndarray
     reflection: np.ndarray
@@ -51,6 +55,7 @@ class ToeplitzSystem:
     logdet: float
     used_dense: bool = False
     _chol: object = field(default=None, repr=False)
+    predictor: object = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -99,9 +104,10 @@ def build_system(cov, n: int | None = None) -> ToeplitzSystem:
             raise ValueError("n must lie in 1..len(gammas)")
         gammas = gammas[:n]
     gammas = np.ascontiguousarray(gammas, dtype=float)
-    refl, sig, status = _levinson.durbin(gammas)
+    refl, sig, status, pred = _levinson.durbin(gammas)
     if status == 0:
-        return ToeplitzSystem(gammas, refl, sig, float(np.sum(np.log(sig))))
+        return ToeplitzSystem(gammas, refl, sig, float(np.sum(np.log(sig))),
+                              predictor=pred)
     warnings.warn(
         f"Levinson recursion near breakdown at order {status}; using dense Cholesky",
         RuntimeWarning, stacklevel=2)
@@ -111,10 +117,28 @@ def build_system(cov, n: int | None = None) -> ToeplitzSystem:
                           used_dense=True, _chol=chol)
 
 
+def _semencul_quad(pred: np.ndarray, var: float, y: np.ndarray) -> float:
+    # Gohberg-Semencul: var * T^{-1} = L L^T - U U^T with L, U lower
+    # triangular Toeplitz, first columns (1, -a_1, .., -a_{n-1}) and
+    # (0, a_{n-1}, .., a_1).  Persymmetry gives |L^T y| = |L J y| (J the
+    # reversal), so the form needs two linear convolutions with J y.
+    n = y.size
+    m = 1 << (2 * n - 2).bit_length()  # no wrap-around into the first n
+    fy = np.fft.rfft(y[::-1], m)
+    lo = np.fft.irfft(np.fft.rfft(np.concatenate(([1.0], -pred)), m) * fy, m)[:n]
+    up = np.fft.irfft(np.fft.rfft(np.concatenate(([0.0], pred[::-1])), m) * fy, m)[:n]
+    return float((np.dot(lo, lo) - np.dot(up, up)) / var)
+
+
 def quad_form(system: ToeplitzSystem, y) -> float:
     """Quadratic form <y, T^{-1} y>; nonnegative, 0 only for y = 0."""
     y = np.asarray(y, dtype=float)
-    q = float(np.dot(y, system.solve(y)))
+    if y.shape != (system.n,):
+        raise ValueError(f"right-hand side must have length {system.n}")
+    if system.used_dense:
+        q = float(np.dot(y, system.solve(y)))
+    else:
+        q = _semencul_quad(system.predictor, system.pred_var[-1], y)
     if q < 0.0:
         if q > -1e-10 * max(1.0, float(np.dot(y, y))):
             return 0.0
@@ -125,17 +149,20 @@ def quad_form(system: ToeplitzSystem, y) -> float:
 def logdet_and_quad(gammas, y) -> tuple[float, float]:
     """Fused single-pass (log det T, <y, T^{-1} y>) for one Toeplitz matrix.
 
-    The posterior sweep calls this once per grid node, so the solve and the
-    prediction variances are taken from the same Levinson pass.
+    The posterior sweep calls this once per grid node: one Levinson-Durbin
+    pass gives the prediction variances and the last predictor, and the
+    quadratic form follows from the predictor by FFT (no solve).
     """
     gammas = np.ascontiguousarray(gammas, dtype=float)
     y = np.asarray(y, dtype=float)
-    x, sig, status = _levinson.levinson_solve(gammas, y)
+    if y.shape != gammas.shape:
+        raise ValueError("right-hand side length must match the Toeplitz order")
+    _, sig, status, pred = _levinson.durbin(gammas)
     if status:
         chol, _, logdet = _dense_factor(gammas, status)
         x = scipy.linalg.cho_solve(chol, y)
         return logdet, float(np.dot(y, x))
-    return float(np.sum(np.log(sig))), float(np.dot(y, x))
+    return float(np.sum(np.log(sig))), _semencul_quad(pred, sig[-1], y)
 
 
 def _autocorrelate(y: np.ndarray) -> np.ndarray:

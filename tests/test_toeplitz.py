@@ -44,7 +44,7 @@ def kernel_backend(request, monkeypatch):
 def test_levinson_kernels_match_dense(kernel_backend, n):
     gam = autocov_seq(0.7, n).gammas
     y = replicate_rng(10, n).standard_normal(n)
-    refl, sig, status = _levinson.durbin(gam)
+    refl, sig, status, _ = _levinson.durbin(gam)
     assert status == 0
     assert refl.shape == (n - 1,) and np.all(np.abs(refl) < 1.0)
     # leading principal minors: det T_m = prod of the first m variances
@@ -70,6 +70,20 @@ def test_solve_is_an_inverse():
     y = replicate_rng(6, 0).standard_normal(64)
     x = build_system(gam).solve(y)
     assert np.max(np.abs(cov @ x - y)) < 1e-9
+
+
+@pytest.mark.parametrize("h", [0.02, 0.5, 0.98])
+def test_semencul_quad_matches_levinson_solve(h):
+    # the FFT quadratic form built from the last predictor against the
+    # O(n^2) Levinson solve, at a size too large for the dense oracle tests
+    n = 2048
+    gam = autocov_seq(h, n).gammas
+    y = replicate_rng(11, n).standard_normal(n)
+    system = build_system(gam)
+    ref = float(y @ system.solve(y))
+    assert quad_form(system, y) == pytest.approx(ref, rel=1e-10)
+    assert logdet_and_quad(gam, y) == pytest.approx((system.logdet, ref),
+                                                    rel=1e-10)
 
 
 def test_build_system_input_forms():
