@@ -10,7 +10,8 @@ Run: python3 demos/02_slln_quadratic_forms.py
 import numpy as np
 import scipy.linalg
 
-from hurstbayes import autocov_seq, build_system, f_ratio_integral, replicate_rng
+from hurstbayes import (autocov_seq, build_system, f_ratio_integral, quad_form,
+                        replicate_rng)
 
 ALPHA, BETA = 0.2, -0.1
 limit = f_ratio_integral(ALPHA, BETA)
@@ -22,7 +23,7 @@ for n in (256, 1024, 4096):
         scipy.linalg.toeplitz(autocov_seq(BETA + 0.5, n).gammas), lower=True)
     system = build_system(autocov_seq(ALPHA + 0.5, n))
     xi = factor @ replicate_rng(7, n).standard_normal(n)
-    stat = float(xi @ system.solve(xi)) / n
+    stat = quad_form(system, xi) / n
     print(f"{n:>6} {stat:>12.6f} {abs(stat / limit - 1):>10.2%}")
 
 ALPHA, BETA = -0.4, 0.3  # alpha - beta = -0.7 <= -1/2: no finite limit
@@ -34,4 +35,4 @@ for n in (256, 1024, 4096):
         scipy.linalg.toeplitz(autocov_seq(BETA + 0.5, n).gammas), lower=True)
     system = build_system(autocov_seq(ALPHA + 0.5, n))
     xi = factor @ replicate_rng(7, n).standard_normal(n)
-    print(f"{n:>6} {float(xi @ system.solve(xi)) / n:>12.3f}")
+    print(f"{n:>6} {quad_form(system, xi) / n:>12.3f}")

@@ -117,11 +117,15 @@ def _unit_fgn_circulant(hv: float, n: int, rng: np.random.Generator) -> np.ndarr
     return math.sqrt(2 * m) * z.real[:n]
 
 
+def _cholesky_factor(hv: float, n: int) -> np.ndarray:
+    """Exact lower-triangular factor of the n x n covariance for Hurst hv."""
+    cov = scipy.linalg.toeplitz(autocov_seq(hv, n).gammas)
+    return scipy.linalg.cholesky(cov, lower=True, overwrite_a=True,
+                                 check_finite=False)
+
+
 def _unit_fgn_cholesky(hv: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    gam = autocov_seq(hv, n).gammas
-    cov = scipy.linalg.toeplitz(gam)
-    chol = scipy.linalg.cholesky(cov, lower=True)
-    return chol @ rng.standard_normal(n)
+    return _cholesky_factor(hv, n) @ rng.standard_normal(n)
 
 
 def _resolve_rng(rng, seed):

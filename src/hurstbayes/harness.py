@@ -32,12 +32,12 @@ from ._quadrature import adaptive_simpson
 # r_coefficient_decay is not called here; perfbench/tracing.py wraps this name
 from .factorization import (q_coefficient_check, r_coefficient_decay,  # noqa: F401
                             w_asymptotics)
-from .fgn import replicate_rng, sample_fgn
+from .fgn import _cholesky_factor, replicate_rng, sample_fgn
 from .moments import (MAX_ORDER, QuadFormInstance, psi_composition_representation,
                       psi_direct, theta_isserlis_oracle, theta_recursion,
                       trace_powers)
-from .posterior import (GRID_MAX, GRID_MIN, map_estimate, posterior_grid,
-                        posterior_moments, solve_alpha_n)
+from .posterior import (GRID_MAX, GRID_MIN, _parabola_vertex, map_estimate,
+                        posterior_grid, posterior_moments, solve_alpha_n)
 from .symbols import (SinaiTruncation, _hurst_value, _symbol_value,
                       autocov_seq, f_ratio_derivatives, f_ratio_integral,
                       lattice_sum_regular, norming_constant)
@@ -169,13 +169,6 @@ INFO = math.inf  # tolerance marker for purely informational records
 # ---------------------------------------------------------------------------
 # quadratic-form law of large numbers
 
-def _chol_sampler(hv: float, n: int):
-    """Exact lower-triangular factor of the n x n covariance for Hurst hv."""
-    cov = scipy.linalg.toeplitz(autocov_seq(hv, n).gammas)
-    return scipy.linalg.cholesky(cov, lower=True, overwrite_a=True,
-                                 check_finite=False)
-
-
 def run_slln(alpha, beta, n_list: Sequence[int] = (512, 2048, 8192),
              seeds: Union[int, Sequence[int]] = 10,
              master_seed: int = DEFAULT_MASTER_SEED,
@@ -220,13 +213,13 @@ def run_slln(alpha, beta, n_list: Sequence[int] = (512, 2048, 8192),
     records = []
     stats = {}  # (n, seed) -> statistic
     for n in n_list:
-        factor = _chol_sampler(b + 0.5, n)
+        factor = _cholesky_factor(b + 0.5, n)
         system = build_system(autocov_seq(a + 0.5, n))
 
         def cell(seed, n=n, factor=factor, system=system):
             rng = replicate_rng(master_seed, seed * 100_000 + n)
             xi = factor @ rng.standard_normal(n)
-            return float(np.dot(xi, system.solve(xi)) / n)
+            return quad_form(system, xi) / n
 
         for seed, stat in zip(seed_list, _map_cells(cell, seed_list, threads)):
             stats[(n, seed)] = stat
@@ -354,14 +347,7 @@ def exponent_peak(y: np.ndarray, hv: float, n: int, deriv: float) -> float:
     idx = int(np.argmax(vals))
     if idx == 0 or idx == nodes.size - 1:
         return float(nodes[idx])
-    x, f = nodes[idx - 1:idx + 2], vals[idx - 1:idx + 2]
-    d1 = (f[1] - f[0]) / (x[1] - x[0])
-    d2 = (f[2] - f[1]) / (x[2] - x[1])
-    dd = (d2 - d1) / (x[2] - x[0])
-    if dd >= 0.0:
-        return float(x[1])
-    vertex = 0.5 * (x[0] + x[1]) - d1 / (2.0 * dd)
-    return float(min(max(vertex, x[0]), x[2]))
+    return _parabola_vertex(nodes[idx - 1:idx + 2], vals[idx - 1:idx + 2])
 
 
 def run_concentration(h_hat, n_list: Sequence[int] = (1024, 4096),

@@ -112,6 +112,26 @@ def _log_prior_values(prior, nodes: np.ndarray) -> np.ndarray:
     return np.log(vals)
 
 
+def _check_sample(y) -> np.ndarray:
+    """The sample as a contiguous float vector; rejects input the likelihood
+    cannot score (empty, non-finite, or with an overflowing |y|^2) and warns
+    on an all-zero sample."""
+    y = np.ascontiguousarray(y, dtype=float)
+    if y.ndim != 1 or y.size < 1:
+        raise ValueError("need a nonempty sample vector")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("sample contains non-finite values")
+    with np.errstate(over="ignore"):
+        norm2 = float(np.dot(y, y))
+    if not math.isfinite(norm2):
+        raise ValueError("sample scale overflows: |y|^2 is not finite; "
+                         "rescale the sample")
+    if not np.any(y):
+        warnings.warn("all-zero sample: posterior reflects only the prior and "
+                      "determinant terms", RuntimeWarning, stacklevel=3)
+    return y
+
+
 def _log_kernel_nodes(y: np.ndarray, nodes: np.ndarray,
                       whittle: bool) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate the log likelihood kernel node by node, dropping failures."""
@@ -127,6 +147,9 @@ def _log_kernel_nodes(y: np.ndarray, nodes: np.ndarray,
                 logdet = build_system(gam).logdet
             else:
                 logdet, q = logdet_and_quad(gam, y)
+            if not (math.isfinite(q) and math.isfinite(logdet)):
+                raise ArithmeticError(f"non-finite quadratic form ({q}) or "
+                                      f"log-determinant ({logdet})")
         except (ArithmeticError, np.linalg.LinAlgError) as exc:
             warnings.warn(f"dropping grid node u={u:.6f}: {exc}",
                           RuntimeWarning, stacklevel=3)
@@ -143,15 +166,12 @@ def log_posterior(y, nodes, prior: Optional[Callable[[float], float]] = None,
     """Exact unnormalized log posterior of H on the supplied grid.
 
     ``prior`` is a density on (0, 1); None means uniform.  Grid nodes must
-    stay inside [1e-3, 1 - 1e-3].  Nodes where the Toeplitz factorization
-    fails are dropped with a warning; everything failing is an error.
+    stay inside [1e-3, 1 - 1e-3].  A sample with non-finite values or an
+    overflowing scale is rejected.  Nodes where the Toeplitz factorization
+    fails or gives a non-finite term are dropped with a warning; everything
+    failing is an error.
     """
-    y = np.ascontiguousarray(y, dtype=float)
-    if y.ndim != 1 or y.size < 1:
-        raise ValueError("need a nonempty sample vector")
-    if not np.any(y != 0.0):
-        warnings.warn("all-zero sample: posterior reflects only the prior and "
-                      "determinant terms", RuntimeWarning, stacklevel=2)
+    y = _check_sample(y)
     nodes = np.sort(np.unique(np.asarray(nodes, dtype=float)))
     if nodes[0] < GRID_MIN or nodes[-1] > GRID_MAX:
         raise ValueError(f"grid nodes must lie within [{GRID_MIN}, {GRID_MAX}]")
@@ -186,8 +206,7 @@ def _mode_spread(nodes: np.ndarray, logd: np.ndarray) -> tuple[float, float]:
 def posterior_grid(y, prior: Optional[Callable[[float], float]] = None,
                    grid_min: float = GRID_MIN, grid_max: float = GRID_MAX,
                    coarse: int = 128, refine_rounds: int = 2,
-                   refine_nodes: int = 64, window_cells: int = 8,
-                   whittle: bool = False) -> PosteriorGrid:
+                   refine_nodes: int = 64, window_cells: int = 8) -> PosteriorGrid:
     """Adaptive posterior evaluation: coarse scan, then refinement rounds of
     ``refine_nodes`` nodes spanning +-``window_cells`` current cells around
     the mode.  The returned grid merges every evaluated node."""
@@ -195,11 +214,11 @@ def posterior_grid(y, prior: Optional[Callable[[float], float]] = None,
         raise ValueError("grid bounds must satisfy 1e-3 <= min < max <= 1-1e-3")
     if coarse < _MIN_NODES:
         raise ValueError(f"coarse grid needs at least {_MIN_NODES} nodes")
-    y = np.ascontiguousarray(y, dtype=float)
+    y = _check_sample(y)
     evaluated: dict[float, float] = {}
 
     def run_round(points: np.ndarray):
-        logk, ok = _log_kernel_nodes(y, points, whittle)
+        logk, ok = _log_kernel_nodes(y, points, whittle=False)
         for u, val, good in zip(points, logk, ok):
             if good:
                 evaluated[float(u)] = float(val)
@@ -230,9 +249,6 @@ def posterior_grid(y, prior: Optional[Callable[[float], float]] = None,
         kept, vals = run_round(current)
     nodes = np.array(sorted(evaluated))
     logk = np.array([evaluated[u] for u in nodes])
-    if not np.any(y != 0.0):
-        warnings.warn("all-zero sample: posterior reflects only the prior and "
-                      "determinant terms", RuntimeWarning, stacklevel=2)
     logd = logk + _log_prior_values(prior, nodes)
     return PosteriorGrid.from_log_density(nodes, logd)
 
@@ -244,6 +260,19 @@ def whittle_posterior(y, nodes,
     return log_posterior(y, nodes, prior, whittle=True)
 
 
+def _parabola_vertex(x: np.ndarray, f: np.ndarray) -> float:
+    """Vertex of the parabola through three points with x[1] the largest f,
+    clamped to [x[0], x[2]]; x[1] itself when the points are not concave.
+    The divided differences depend on differences of f only."""
+    d1 = (f[1] - f[0]) / (x[1] - x[0])
+    d2 = (f[2] - f[1]) / (x[2] - x[1])
+    dd = (d2 - d1) / (x[2] - x[0])
+    if dd >= 0.0:
+        return float(x[1])
+    vertex = 0.5 * (x[0] + x[1]) - d1 / (2.0 * dd)
+    return float(min(max(vertex, x[0]), x[2]))
+
+
 def map_estimate(grid: PosteriorGrid) -> float:
     """Posterior mode, refined by a parabola through the top three nodes.
     A mode on the grid boundary is returned as-is with a warning."""
@@ -252,16 +281,8 @@ def map_estimate(grid: PosteriorGrid) -> float:
         warnings.warn("posterior mode at grid boundary", RuntimeWarning,
                       stacklevel=2)
         return float(grid.nodes[idx])
-    x = grid.nodes[idx - 1:idx + 2]
-    f = grid.log_density[idx - 1:idx + 2]
-    # divided-difference vertex: depends on density differences only
-    d1 = (f[1] - f[0]) / (x[1] - x[0])
-    d2 = (f[2] - f[1]) / (x[2] - x[1])
-    dd = (d2 - d1) / (x[2] - x[0])
-    if dd >= 0.0:
-        return float(x[1])
-    vertex = 0.5 * (x[0] + x[1]) - d1 / (2.0 * dd)
-    return float(min(max(vertex, x[0]), x[2]))
+    return _parabola_vertex(grid.nodes[idx - 1:idx + 2],
+                            grid.log_density[idx - 1:idx + 2])
 
 
 def posterior_moments(grid: PosteriorGrid) -> tuple[float, float]:

@@ -1,12 +1,12 @@
 """Toeplitz systems for the symbol family: solves, log-determinants,
 quadratic forms, and the asymptotic envelope for inverse entries.
 
-The primary factorisation is Levinson-Durbin, which yields the reflection
-coefficients, the prediction-error variances (whose product is the
-determinant), and O(n^2) solves without materialising the matrix.  Its last
-forward predictor fixes T^{-1} through the Gohberg-Semencul formula, so a
-quadratic form <y, T^{-1} y> costs two FFT convolutions once the matrix is
-factored, instead of a second O(n^2) pass.  A dense
+The primary factorisation is one Levinson-Durbin pass, which yields the
+reflection coefficients, the prediction-error variances (whose product is the
+determinant) and the last forward predictor.  That predictor fixes T^{-1}
+through the Gohberg-Semencul formula, so once the matrix is factored a
+quadratic form <y, T^{-1} y> costs two FFT convolutions and a solve four,
+O(n log n) each, without materialising the matrix.  A dense
 Cholesky fallback engages if a reflection coefficient reaches magnitude
 1 - 1e-12; for the fractional Gaussian autocovariances this never happens in
 the supported range, but the escape hatch keeps near-degenerate inputs honest.
@@ -47,7 +47,8 @@ class ToeplitzSystem:
     (non-increasing, positive); ``logdet`` is their log-sum.  ``reflection``
     holds the n-1 reflection coefficients, NaN on the dense fallback path
     where the recursion did not complete.  ``predictor`` holds the order n-1
-    forward predictor the quadratic form is built from, None on that path.
+    forward predictor that every product with T^{-1} is built from, None on
+    that path.
     """
     gammas: np.ndarray
     reflection: np.ndarray
@@ -67,10 +68,7 @@ class ToeplitzSystem:
             raise ValueError(f"right-hand side must have length {self.n}")
         if self.used_dense:
             return scipy.linalg.cho_solve(self._chol, y)
-        x, _, status = _levinson.levinson_solve(self.gammas, y)
-        if status:
-            raise NotPositiveDefiniteError(status)
-        return x
+        return _levinson.semencul_solve(self.predictor, self.pred_var[-1], y)
 
 
 def _dense_factor(gammas: np.ndarray, failed_order: int):
@@ -117,19 +115,6 @@ def build_system(cov, n: int | None = None) -> ToeplitzSystem:
                           used_dense=True, _chol=chol)
 
 
-def _semencul_quad(pred: np.ndarray, var: float, y: np.ndarray) -> float:
-    # Gohberg-Semencul: var * T^{-1} = L L^T - U U^T with L, U lower
-    # triangular Toeplitz, first columns (1, -a_1, .., -a_{n-1}) and
-    # (0, a_{n-1}, .., a_1).  Persymmetry gives |L^T y| = |L J y| (J the
-    # reversal), so the form needs two linear convolutions with J y.
-    n = y.size
-    m = 1 << (2 * n - 2).bit_length()  # no wrap-around into the first n
-    fy = np.fft.rfft(y[::-1], m)
-    lo = np.fft.irfft(np.fft.rfft(np.concatenate(([1.0], -pred)), m) * fy, m)[:n]
-    up = np.fft.irfft(np.fft.rfft(np.concatenate(([0.0], pred[::-1])), m) * fy, m)[:n]
-    return float((np.dot(lo, lo) - np.dot(up, up)) / var)
-
-
 def quad_form(system: ToeplitzSystem, y) -> float:
     """Quadratic form <y, T^{-1} y>; nonnegative, 0 only for y = 0."""
     y = np.asarray(y, dtype=float)
@@ -138,7 +123,8 @@ def quad_form(system: ToeplitzSystem, y) -> float:
     if system.used_dense:
         q = float(np.dot(y, system.solve(y)))
     else:
-        q = _semencul_quad(system.predictor, system.pred_var[-1], y)
+        lt, ut = _levinson.semencul_halves(system.predictor, y)
+        q = float((np.dot(lt, lt) - np.dot(ut, ut)) / system.pred_var[-1])
     if q < 0.0:
         if q > -1e-10 * max(1.0, float(np.dot(y, y))):
             return 0.0
@@ -147,22 +133,10 @@ def quad_form(system: ToeplitzSystem, y) -> float:
 
 
 def logdet_and_quad(gammas, y) -> tuple[float, float]:
-    """Fused single-pass (log det T, <y, T^{-1} y>) for one Toeplitz matrix.
-
-    The posterior sweep calls this once per grid node: one Levinson-Durbin
-    pass gives the prediction variances and the last predictor, and the
-    quadratic form follows from the predictor by FFT (no solve).
-    """
-    gammas = np.ascontiguousarray(gammas, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if y.shape != gammas.shape:
-        raise ValueError("right-hand side length must match the Toeplitz order")
-    _, sig, status, pred = _levinson.durbin(gammas)
-    if status:
-        chol, _, logdet = _dense_factor(gammas, status)
-        x = scipy.linalg.cho_solve(chol, y)
-        return logdet, float(np.dot(y, x))
-    return float(np.sum(np.log(sig))), _semencul_quad(pred, sig[-1], y)
+    """(log det T, <y, T^{-1} y>) for one Toeplitz matrix: :func:`build_system`
+    then :func:`quad_form`, one Levinson-Durbin pass per call."""
+    system = build_system(gammas)
+    return system.logdet, quad_form(system, y)
 
 
 def _autocorrelate(y: np.ndarray) -> np.ndarray:

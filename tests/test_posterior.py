@@ -7,6 +7,7 @@ import scipy.linalg
 import scipy.stats
 
 import oracles
+from hurstbayes import posterior
 from hurstbayes.fgn import sample_fgn
 from hurstbayes.posterior import (EPS_MARGIN, AsymptoticSummary, PosteriorGrid,
                                   credible_interval, kappa_prime, kappa_second,
@@ -46,6 +47,45 @@ def test_log_posterior_input_validation():
         log_posterior(np.ones(8), np.linspace(-0.1, 0.9, 64))
     with pytest.warns(RuntimeWarning, match="all-zero"):
         log_posterior(np.zeros(8), np.linspace(0.1, 0.9, 64))
+
+
+def test_unscorable_samples_rejected():
+    # one NaN, or a scale whose |y|^2 overflows, must be a usage error, not
+    # a boundary MAP with only a boundary warning
+    y = sample_fgn(0.7, 64, seed=4).increments
+    with_nan = y.copy()
+    with_nan[7] = np.nan
+    nodes = np.linspace(0.1, 0.9, 64)
+    for bad, match in ((with_nan, "non-finite"), (y * 1e200, "overflows")):
+        with pytest.raises(ValueError, match=match):
+            log_posterior(bad, nodes)
+        with pytest.raises(ValueError, match=match):
+            posterior_grid(bad)
+
+
+def test_non_finite_node_terms_are_dropped(monkeypatch):
+    y = sample_fgn(0.6, 32, seed=9).increments
+    nodes = np.linspace(0.1, 0.9, 66)
+    exact = log_posterior(y, nodes)
+    real = posterior.logdet_and_quad
+    calls = []
+
+    def spoiled(gam, z):
+        logdet, q = real(gam, z)
+        calls.append(None)
+        if len(calls) == 10:
+            return logdet, math.nan
+        if len(calls) == 20:
+            return math.inf, q
+        return logdet, q
+
+    monkeypatch.setattr(posterior, "logdet_and_quad", spoiled)
+    with pytest.warns(RuntimeWarning, match="dropping grid node"):
+        grid = log_posterior(y, nodes)
+    kept = np.delete(np.arange(nodes.size), [9, 19])
+    np.testing.assert_array_equal(grid.nodes, nodes[kept])
+    np.testing.assert_allclose(grid.log_density, exact.log_density[kept],
+                               rtol=0, atol=1e-12)
 
 
 def test_prior_must_be_positive():

@@ -73,17 +73,39 @@ def test_solve_is_an_inverse():
 
 
 @pytest.mark.parametrize("h", [0.02, 0.5, 0.98])
-def test_semencul_quad_matches_levinson_solve(h):
-    # the FFT quadratic form built from the last predictor against the
-    # O(n^2) Levinson solve, at a size too large for the dense oracle tests
+def test_semencul_quad_and_solve_match_dense(h):
+    # the FFT quadratic form and solve built from the last predictor against
+    # dense Cholesky and the dense inverse, at a size well past the small-n
+    # oracle tests above
     n = 2048
     gam = autocov_seq(h, n).gammas
     y = replicate_rng(11, n).standard_normal(n)
     system = build_system(gam)
-    ref = float(y @ system.solve(y))
-    assert quad_form(system, y) == pytest.approx(ref, rel=1e-10)
-    assert logdet_and_quad(gam, y) == pytest.approx((system.logdet, ref),
+    ld_ref, quad_ref = oracles.dense_logdet_quad(gam, y)
+    assert quad_form(system, y) == pytest.approx(quad_ref, rel=1e-10)
+    assert logdet_and_quad(gam, y) == pytest.approx((ld_ref, quad_ref),
                                                     rel=1e-10)
+    x_ref = oracles.dense_inverse(gam) @ y
+    err = np.linalg.norm(system.solve(y) - x_ref)
+    assert err <= 1e-10 * np.linalg.norm(x_ref)
+
+
+def test_solve_and_inverse_entry_make_no_levinson_pass(monkeypatch):
+    # once factored, every product with T^{-1} comes from the stored
+    # predictor; a second recursion would raise here
+    n = 256
+    gam = autocov_seq(0.7, n).gammas
+    system = build_system(gam)
+
+    def no_pass(*args):
+        raise AssertionError("Levinson pass after factorization")
+
+    monkeypatch.setattr(_levinson, "levinson_solve", no_pass)
+    monkeypatch.setattr(_levinson, "durbin", no_pass)
+    y = replicate_rng(12, n).standard_normal(n)
+    inv = oracles.dense_inverse(gam)
+    np.testing.assert_allclose(system.solve(y), inv @ y, rtol=1e-9, atol=1e-12)
+    assert inverse_entry(system, 3, 200) == pytest.approx(inv[2, 199], rel=1e-8)
 
 
 def test_build_system_input_forms():
