@@ -58,6 +58,11 @@ def _trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
     return w
 
 
+class _NormalizationError(ValueError):
+    """The log densities lie so far from 0 that a float ``log_norm`` cannot
+    normalize them to the checked tolerance."""
+
+
 @dataclass(frozen=True)
 class PosteriorGrid:
     """Unnormalized log posterior on a sorted grid plus trapezoid weights.
@@ -85,7 +90,7 @@ class PosteriorGrid:
             raise ValueError(f"nodes must lie within [{GRID_MIN}, {GRID_MAX}]")
         total = float(np.sum(w * np.exp(logd - self.log_norm)))
         if abs(total - 1.0) > 1e-10:
-            raise ValueError("normalization is inconsistent")
+            raise _NormalizationError("normalization is inconsistent")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "log_density", logd)
         object.__setattr__(self, "weights", w)
@@ -130,6 +135,23 @@ def _check_sample(y) -> np.ndarray:
         warnings.warn("all-zero sample: posterior reflects only the prior and "
                       "determinant terms", RuntimeWarning, stacklevel=3)
     return y
+
+
+def _sample_grid(y: np.ndarray, nodes: np.ndarray,
+                 logd: np.ndarray) -> PosteriorGrid:
+    """The normalized grid of a sample's log posterior.  A badly scaled
+    sample (FGN increments at n = 512 multiplied by 1e4 already are) drives
+    the log densities to a magnitude where one ulp of ``log_norm`` exceeds
+    the normalization tolerance; that is reported as the sample's scale, not
+    as a grid fault."""
+    try:
+        return PosteriorGrid.from_log_density(nodes, logd)
+    except _NormalizationError:
+        rms = math.sqrt(float(np.dot(y, y)) / y.size)
+        raise ValueError(
+            f"sample scale (rms {rms:.3g}) puts the log posterior near "
+            f"{float(np.max(logd)):.3g}, too far from 0 to normalize in "
+            "floating point; rescale the sample") from None
 
 
 def _log_kernel_nodes(y: np.ndarray, nodes: np.ndarray,
@@ -180,7 +202,7 @@ def log_posterior(y, nodes, prior: Optional[Callable[[float], float]] = None,
         raise RuntimeError("every grid node failed to factorize")
     nodes, logk = nodes[ok], logk[ok]
     logd = logk + _log_prior_values(prior, nodes)
-    return PosteriorGrid.from_log_density(nodes, logd)
+    return _sample_grid(y, nodes, logd)
 
 
 def _refine_window(nodes: np.ndarray, idx: int, cells: int, count: int):
@@ -189,17 +211,24 @@ def _refine_window(nodes: np.ndarray, idx: int, cells: int, count: int):
     return np.linspace(lo, hi, count)
 
 
+def _divided_differences(x: np.ndarray, f: np.ndarray) -> tuple[float, float]:
+    """First and second divided differences f[x0, x1] and f[x0, x1, x2] of
+    three points; both depend on differences of f only."""
+    d1 = (f[1] - f[0]) / (x[1] - x[0])
+    d2 = (f[2] - f[1]) / (x[2] - x[1])
+    return d1, (d2 - d1) / (x[2] - x[0])
+
+
 def _mode_spread(nodes: np.ndarray, logd: np.ndarray) -> tuple[float, float]:
     """Mode location and a curvature-based sd estimate from grid values."""
     idx = int(np.argmax(logd))
     mode = float(nodes[idx])
     if 0 < idx < nodes.size - 1:
-        x, f = nodes[idx - 1:idx + 2], logd[idx - 1:idx + 2]
-        d1 = (f[1] - f[0]) / (x[1] - x[0])
-        d2 = (f[2] - f[1]) / (x[2] - x[1])
-        curv = 2.0 * (d2 - d1) / (x[2] - x[0])
-        if curv < 0.0:
-            return mode, 1.0 / math.sqrt(-curv)
+        _, dd = _divided_differences(nodes[idx - 1:idx + 2],
+                                     logd[idx - 1:idx + 2])
+        if dd < 0.0:
+            # the log density's curvature is twice the second difference
+            return mode, 1.0 / math.sqrt(-2.0 * dd)
     return mode, float(nodes[-1] - nodes[0])
 
 
@@ -250,7 +279,7 @@ def posterior_grid(y, prior: Optional[Callable[[float], float]] = None,
     nodes = np.array(sorted(evaluated))
     logk = np.array([evaluated[u] for u in nodes])
     logd = logk + _log_prior_values(prior, nodes)
-    return PosteriorGrid.from_log_density(nodes, logd)
+    return _sample_grid(y, nodes, logd)
 
 
 def whittle_posterior(y, nodes,
@@ -262,11 +291,8 @@ def whittle_posterior(y, nodes,
 
 def _parabola_vertex(x: np.ndarray, f: np.ndarray) -> float:
     """Vertex of the parabola through three points with x[1] the largest f,
-    clamped to [x[0], x[2]]; x[1] itself when the points are not concave.
-    The divided differences depend on differences of f only."""
-    d1 = (f[1] - f[0]) / (x[1] - x[0])
-    d2 = (f[2] - f[1]) / (x[2] - x[1])
-    dd = (d2 - d1) / (x[2] - x[0])
+    clamped to [x[0], x[2]]; x[1] itself when the points are not concave."""
+    d1, dd = _divided_differences(x, f)
     if dd >= 0.0:
         return float(x[1])
     vertex = 0.5 * (x[0] + x[1]) - d1 / (2.0 * dd)

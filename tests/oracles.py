@@ -3,11 +3,13 @@
 Everything here recomputes package quantities through a different route:
 Hurwitz-zeta closed forms for the lattice sums, tanh-sinh quadrature in
 mpmath for the ratio integrals, weighted Clenshaw-Curtis quadrature for
-spectral autocovariances, and dense linear algebra for Toeplitz answers.
+spectral autocovariances, dense linear algebra for Toeplitz answers, and
+one einsum tensor contraction per Wick pairing for quadratic-form moments.
 None of it imports the module under test's internals beyond public entry
 points needed to build inputs.
 """
 import math
+from string import ascii_letters
 
 import mpmath as mp
 import numpy as np
@@ -106,3 +108,30 @@ def gaussian_log_likelihood(y: np.ndarray, cov: np.ndarray) -> float:
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol[0]))))
     quad = float(np.dot(y, scipy.linalg.cho_solve(chol, y)))
     return -0.5 * (n * math.log(TWO_PI) + logdet + quad)
+
+
+def perfect_matchings(slots: tuple) -> list:
+    """Every perfect matching of ``slots`` as a list of (p, q) pairs."""
+    if not slots:
+        return [[]]
+    head, rest = slots[0], slots[1:]
+    return [[(head, q)] + tail for i, q in enumerate(rest)
+            for tail in perfect_matchings(rest[:i] + rest[i + 1:])]
+
+
+def isserlis_einsum_oracle(a: np.ndarray, c: np.ndarray, n: int) -> float:
+    """E<xi, A xi>^n for xi ~ N(0, C) by Wick pairing, each pairing's
+    network contracted as a whole by ``np.einsum``: factor t puts
+    A[i_{2t}, i_{2t+1}] on slots 2t, 2t + 1, and each matched pair (p, q)
+    with p < q contributes C[i_p, i_q]."""
+    if n == 0:
+        return 1.0
+    letters = ascii_letters[:2 * n]
+    a_subs = [letters[2 * t] + letters[2 * t + 1] for t in range(n)]
+    operands = [a] * n + [c] * n
+    total = 0.0
+    for matching in perfect_matchings(tuple(range(2 * n))):
+        c_subs = [letters[p] + letters[q] for p, q in matching]
+        total += float(np.einsum(",".join(a_subs + c_subs) + "->", *operands,
+                                 optimize=True))
+    return total

@@ -1,10 +1,12 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hurstbayes import harness
 from hurstbayes.cli import main
+from hurstbayes.fgn import sample_fgn, write_path_csv
 from hurstbayes.harness import read_report_json
 
 
@@ -84,6 +86,16 @@ def test_estimate_malformed_csv(tmp_path, capsys):
     rc, _, err = _run(capsys, "estimate", "--in", str(bad))
     assert rc == 2
     assert "error:" in err and "line 3" in err
+
+
+def test_estimate_badly_scaled_input_is_usage_error(tmp_path, capsys):
+    path = sample_fgn(0.7, 512, seed=1)
+    scaled = tmp_path / "scaled.csv"
+    write_path_csv(replace(path, increments=path.increments * 1e4),
+                   str(scaled))
+    rc, _, err = _run(capsys, "estimate", "--in", str(scaled))
+    assert rc == 2
+    assert "rescale the sample" in err
 
 
 def test_estimate_missing_file_is_runtime_failure(tmp_path, capsys):

@@ -1,10 +1,13 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from hurstbayes import moments
 from hurstbayes.fgn import replicate_rng
 from hurstbayes.moments import (MAX_ORDER, MomentTable, QuadFormInstance,
                                 composition_coefficient, compositions_no_ones,
@@ -71,6 +74,34 @@ def test_recursion_matches_pairing_oracle(seed, d):
     for order in range(1, 6):
         ref = theta_isserlis_oracle(inst, order)
         assert theta[order] == pytest.approx(ref, rel=1e-10), (d, order)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_pairing_oracle_matches_einsum_contraction(d):
+    rng = replicate_rng(77, d)
+    b = rng.standard_normal((d, d))
+    c = b @ b.T + d * np.eye(d)
+    a = rng.standard_normal((d, d))  # not symmetric
+    symmetrized = QuadFormInstance(a, c)
+    # the raw pair reaches the cycle walk unsymmetrized, so every transpose
+    # the walk takes is exercised against the whole-network contraction
+    raw = SimpleNamespace(a=a, c=c + 0.1 * rng.standard_normal((d, d)))
+    for inst in (symmetrized, raw):
+        for order in range(6):
+            ref = oracles.isserlis_einsum_oracle(inst.a, inst.c, order)
+            assert theta_isserlis_oracle(inst, order) == pytest.approx(
+                ref, rel=1e-12), (d, order)
+
+
+def test_pairing_oracle_is_independent_of_recursion(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("pairing oracle must not use the trace recursion")
+
+    monkeypatch.setattr(moments, "trace_powers", refuse)
+    monkeypatch.setattr(moments, "theta_recursion", refuse)
+    inst = random_instance(3, 5)
+    for order in range(6):
+        theta_isserlis_oracle(inst, order)
 
 
 def test_pairing_oracle_order_capped():

@@ -63,6 +63,19 @@ def test_unscorable_samples_rejected():
             posterior_grid(bad)
 
 
+def test_badly_scaled_sample_names_its_scale():
+    # a finite |y|^2 can still push the log densities so far from 0 that one
+    # ulp of the float log_norm breaks the normalization check; that must be
+    # reported as the sample's scale, while moderate scales keep working
+    y = sample_fgn(0.7, 512, seed=1).increments
+    for scale in (1e4, 1e10, 1e100, 1e150):
+        with pytest.raises(ValueError, match=r"sample scale .*rescale"):
+            posterior_grid(y * scale)
+    for scale in (0.1, 10.0, 1e3):
+        grid = posterior_grid(y * scale)
+        assert 0.0 < map_estimate(grid) < 1.0
+
+
 def test_non_finite_node_terms_are_dropped(monkeypatch):
     y = sample_fgn(0.6, 32, seed=9).increments
     nodes = np.linspace(0.1, 0.9, 66)
