@@ -90,8 +90,3 @@ def graded_gl_rule(b: float, exponent: float = 0.0, nodes_per_panel: int = 16,
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     weights = (half[:, None] * w[None, :]).ravel()
     return nodes, weights
-
-
-def integrate_graded(f, b: float, exponent: float = 0.0, **kw) -> float:
-    nodes, weights = graded_gl_rule(b, exponent=exponent, **kw)
-    return float(np.dot(weights, f(nodes)))

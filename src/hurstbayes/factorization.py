@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.signal
+import scipy.fft
 import scipy.special
 
 from .symbols import (DEFAULT_TRUNCATION, SinaiTruncation, _symbol_value,
@@ -269,7 +269,10 @@ def _whiten(av: float, r: FourierCoeffs):
     r_real = r.values.real
     k_max = r_real.size - 1
     w = w_hat_seq(av, k_max)
-    return w, scipy.signal.fftconvolve(w, r_real)[:k_max + 1]
+    # zero-padded to the full linear-convolution length, so nothing wraps
+    size = scipy.fft.next_fast_len(2 * k_max + 1, real=True)
+    q = scipy.fft.irfft(scipy.fft.rfft(w, size) * scipy.fft.rfft(r_real, size), size)
+    return w, q[:k_max + 1]
 
 
 def factorization_identity_error(alpha, r: FourierCoeffs,

@@ -238,7 +238,9 @@ def posterior_grid(y, prior: Optional[Callable[[float], float]] = None,
                    refine_nodes: int = 64, window_cells: int = 8) -> PosteriorGrid:
     """Adaptive posterior evaluation: coarse scan, then refinement rounds of
     ``refine_nodes`` nodes spanning +-``window_cells`` current cells around
-    the mode.  The returned grid merges every evaluated node."""
+    the mode.  The returned grid merges every evaluated node.  A sample
+    scaled so badly that its log posterior cannot be normalized is rejected
+    with ``ValueError`` as soon as the coarse scan shows it."""
     if not (GRID_MIN - 1e-12 <= grid_min < grid_max <= GRID_MAX + 1e-12):
         raise ValueError("grid bounds must satisfy 1e-3 <= min < max <= 1-1e-3")
     if coarse < _MIN_NODES:
@@ -253,18 +255,19 @@ def posterior_grid(y, prior: Optional[Callable[[float], float]] = None,
                 evaluated[float(u)] = float(val)
         return points[ok], logk[ok]
 
-    current = np.linspace(grid_min, grid_max, coarse)
+    kept, vals = run_round(np.linspace(grid_min, grid_max, coarse))
+    if kept.size == 0:
+        raise RuntimeError("every grid node failed to factorize")
+    if kept.size >= _MIN_NODES:
+        # a badly scaled sample already shows in the coarse round's log
+        # densities: reject it here rather than after every refinement
+        _sample_grid(y, kept, vals)
     for _ in range(refine_rounds):
-        kept, vals = run_round(current)
-        if not evaluated:
-            raise RuntimeError("every grid node failed to factorize")
         if kept.size == 0:
             break
         current = _refine_window(kept, int(np.argmax(vals)),
                                  window_cells, refine_nodes)
-    kept, vals = run_round(current)
-    if not evaluated:
-        raise RuntimeError("every grid node failed to factorize")
+        kept, vals = run_round(current)
     # the mode neighbourhood must end up densely sampled (>= 32 nodes within
     # +-5 sd); at large n the fixed windows can undershoot, so top up
     for _ in range(3):

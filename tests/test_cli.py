@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hurstbayes import harness
+import hurstbayes
+from hurstbayes import harness, symbols
 from hurstbayes.cli import main
 from hurstbayes.fgn import sample_fgn, write_path_csv
 from hurstbayes.harness import read_report_json
@@ -182,3 +186,29 @@ def test_internal_value_error_is_runtime_failure(tmp_path, capsys, monkeypatch):
                       "--out", str(tmp_path / "r"))
     assert rc == 1
     assert "failure: ValueError:" in err
+
+
+def test_cli_import_skips_scipy_signal():
+    # scipy.signal alone cost most of the CLI's start-up; nothing needs it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hurstbayes.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, hurstbayes.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
+@pytest.mark.filterwarnings("ignore:decay-fit window shrunk:RuntimeWarning")
+def test_verify_factorization_reports_identical_cold_and_warm(tmp_path, capsys):
+    # the lattice-sum coefficient cache must not change a single bit of the
+    # records, whether it is built during the run or already warm
+    reports = []
+    for i, clear in enumerate((True, False, True)):
+        if clear:
+            symbols._lattice_chebyshev.cache_clear()
+        out = tmp_path / f"r{i}"
+        rc, _, _ = _run(capsys, "verify", "factorization", "--alpha", "0.2",
+                        "--out", str(out))
+        assert rc == 0
+        reports.append(open(f"{out}.csv", "rb").read())
+    assert reports[0] == reports[1] == reports[2]

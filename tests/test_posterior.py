@@ -76,6 +76,23 @@ def test_badly_scaled_sample_names_its_scale():
         assert 0.0 < map_estimate(grid) < 1.0
 
 
+def test_badly_scaled_sample_rejected_after_coarse_round(monkeypatch):
+    # the scale shows in the coarse scan's log densities, so no refinement
+    # round may run before the rejection
+    y = sample_fgn(0.7, 256, seed=1).increments * 1e10
+    real = posterior._log_kernel_nodes
+    counted = []
+
+    def counting(y, nodes, whittle):
+        counted.append(np.size(nodes))
+        return real(y, nodes, whittle)
+
+    monkeypatch.setattr(posterior, "_log_kernel_nodes", counting)
+    with pytest.raises(ValueError, match=r"sample scale .*rescale"):
+        posterior_grid(y)
+    assert 0 < sum(counted) <= 128
+
+
 def test_non_finite_node_terms_are_dropped(monkeypatch):
     y = sample_fgn(0.6, 32, seed=9).increments
     nodes = np.linspace(0.1, 0.9, 66)

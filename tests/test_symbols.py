@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from hurstbayes import symbols
 from hurstbayes.symbols import (AutocovSeq, HurstParam, SinaiTruncation,
                                 SymbolParam, autocov, autocov_seq,
                                 f_ratio_derivatives, f_ratio_integral,
@@ -47,6 +48,40 @@ def test_lattice_sum_light_truncation_stays_close():
     a = lattice_sum_regular(t, 2.4)
     b = lattice_sum_regular(t, 2.4, light)
     assert np.max(np.abs(a - b)) < 1e-9
+
+
+@pytest.mark.parametrize("s", [1.002, 1.2, 2.0, 2.9, 2.998, 3.99])
+@pytest.mark.parametrize("w", [0, 1, 2])
+@pytest.mark.parametrize("k_max", [32, 256])
+def test_lattice_interpolant_matches_direct_sum(s, w, k_max):
+    trunc = SinaiTruncation(k_max=k_max, tail_order=3)
+    t = np.concatenate(([0.0, 1e-300, math.pi, -math.pi],
+                        np.linspace(-math.pi, math.pi, 1001)))
+    mine = lattice_sum_regular(t, s, trunc, w)
+    ref = symbols._lattice_sum_direct(t, s, trunc, w)
+    assert np.max(np.abs(mine / ref - 1.0)) <= 1e-13
+
+
+def test_lattice_coefficients_are_cached():
+    trunc = SinaiTruncation(k_max=64, tail_order=2)
+    t = np.linspace(0.0, 1.0, 7)
+    first = lattice_sum_regular(t, 2.345, trunc, 1)
+    before = symbols._lattice_chebyshev.cache_info()
+    second = lattice_sum_regular(t, 2.345, trunc, 1)
+    after = symbols._lattice_chebyshev.cache_info()
+    assert after.hits == before.hits + 1
+    assert after.misses == before.misses
+    assert np.array_equal(first, second)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, 3.2, -3.2, 2.0 * math.pi])
+def test_lattice_sum_rejects_t_outside_torus(t):
+    with pytest.raises(ValueError):
+        lattice_sum_regular(t, 2.0)
+    with pytest.raises(ValueError):
+        lattice_sum_regular(np.array([0.1, t]), 2.0)
+    # the endpoint itself, up to rounding, stays inside
+    assert np.isfinite(lattice_sum_regular(math.pi * (1.0 + 1e-13), 2.0))
 
 
 def test_norming_constant_vs_closed_form():
