@@ -1,10 +1,15 @@
 """Internal quadrature helpers shared by the symbol and harness layers.
 
-Two workhorses live here: a breadth-first adaptive Simpson rule that accepts
-vectorised integrands, and a composite Gauss-Legendre rule on geometrically
-graded panels for integrands with an endpoint power or log singularity.
+Every symbol integral in the package has the form ``int_0^pi t**(c-1) phi(t)
+dt`` with c > 0, where phi is built from lattice sums that tend to a
+polynomial in log t as t -> 0.  ``log_power_rule`` is the one fixed rule for
+all of them, written in x = -log t.  ``adaptive_simpson`` is used only by the
+norming-constant quadrature that the tests compare the closed form against.
 """
 from __future__ import annotations
+
+import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -68,25 +73,42 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-8,
     raise AssertionError("unreachable")
 
 
-def graded_gl_rule(b: float, exponent: float = 0.0, nodes_per_panel: int = 16,
-                   digits: float = 13.0, ratio: float = 0.5):
-    """Nodes and weights for ``int_0^b`` of a function like ``t**exponent``
-    (times something smooth) with ``exponent > -1``.
+# Past x = _CUT (t = e**-40) every lattice factor t**s * S_reg(t), s > 1, is
+# below 2**-53 of 1, so phi is a polynomial of degree <= 2 in x there and the
+# 16-point Gauss-Laguerre tail integrates it exactly against e**(-c x).  On
+# [-log pi, _CUT] phi is analytic in x; 16-point Gauss-Legendre panels of
+# width 0.69 resolve it and e**(-c x) to rounding for every c in (0, 3).
+_PANELS = 60
+_PANEL_NODES = 16
+_CUT = 40.0
+_TAIL_NODES = 16
 
-    Panels shrink geometrically toward 0 so Gauss-Legendre stays spectrally
-    accurate on each panel; the number of panels is chosen so the neglected
-    stub [0, eps] contributes below ``10**-digits`` for the given exponent.
+
+@lru_cache(maxsize=1)
+def _base_rule():
+    gx, gw = np.polynomial.legendre.leggauss(_PANEL_NODES)
+    edges = np.linspace(-math.log(math.pi), _CUT, _PANELS + 1)
+    half = 0.5 * np.diff(edges)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    x = (mid[:, None] + half[:, None] * gx).ravel()
+    w = (half[:, None] * gw).ravel()
+    lx, lw = np.polynomial.laguerre.laggauss(_TAIL_NODES)
+    return x, w, lx, lw
+
+
+def log_power_rule(c: float):
+    """Nodes ``x`` and weights ``w`` with
+    ``sum(w * phi(exp(-x))) ~ int_0^pi t**(c-1) * phi(t) dt`` for c > 0.
+
+    The integral is taken in x = -log t, where it reads
+    ``int_{-log pi}^inf e**(-c x) phi(e**-x) dx``: Gauss-Legendre panels up to
+    x = 40, then Gauss-Laguerre in c (x - 40).  The same 976 nodes serve every
+    c, down to c -> 0; callers take log t as -x, exact where t underflows.
     """
-    if exponent <= -1.0:
-        raise ValueError("endpoint exponent must exceed -1")
-    decay = 1.0 + min(exponent, 1.0)
-    n_geo = int(np.ceil(digits * np.log(10.0) / (decay * np.log(1.0 / ratio)))) + 4
-    rel = b * ratio ** np.arange(n_geo + 1)
-    edges = np.concatenate([[0.0], rel[::-1]])
-    x, w = np.polynomial.legendre.leggauss(nodes_per_panel)
-    lo, hi = edges[:-1], edges[1:]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
+    c = float(c)
+    if not c > 0.0:
+        raise ValueError("endpoint exponent c must be positive")
+    x, w, lx, lw = _base_rule()
+    nodes = np.concatenate([x, _CUT + lx / c])
+    weights = np.concatenate([w * np.exp(-c * x), lw * (math.exp(-c * _CUT) / c)])
     return nodes, weights

@@ -123,13 +123,10 @@ def hilbert_transform(samples: np.ndarray) -> np.ndarray:
     x = np.asarray(samples, dtype=float)
     m = x.size
     _check_grid_size(m)
-    fx = np.fft.fft(x)
-    mult = np.empty(m, dtype=complex)
-    mult[0] = 0.0
-    mult[1:m // 2] = -1j
-    mult[m // 2] = 0.0
-    mult[m // 2 + 1:] = 1j
-    return np.fft.ifft(fx * mult).real
+    fx = np.fft.rfft(x)
+    fx[0] = 0.0
+    fx[-1] = 0.0
+    return np.fft.irfft(-1j * fx, n=m)
 
 
 def singular_log_series(alpha, t: np.ndarray, k_terms: int) -> np.ndarray:
@@ -170,7 +167,7 @@ def smooth_part(alpha, t, trunc: SinaiTruncation = DEFAULT_TRUNCATION) -> np.nda
     if np.any(np.abs(t) > math.pi * (1 + 1e-12)):
         raise ValueError("torus argument expected in [-pi, pi]")
     s = 2.0 + 2.0 * av
-    c = norming_constant(av + 0.5, trunc)
+    c = norming_constant(av + 0.5)
     out = np.full(t.shape, c)
     nz = t != 0.0
     tn = t[nz]

@@ -28,7 +28,9 @@ from typing import IO, Optional, Sequence, Union
 import numpy as np
 import scipy.linalg
 
-from ._quadrature import adaptive_simpson
+# adaptive_simpson is not called here; perfbench/tracing.py wraps this name
+from ._quadrature import adaptive_simpson  # noqa: F401
+from ._quadrature import log_power_rule
 # r_coefficient_decay is not called here; perfbench/tracing.py wraps this name
 from .factorization import (q_coefficient_check, r_coefficient_decay,  # noqa: F401
                             w_asymptotics)
@@ -38,7 +40,7 @@ from .moments import (MAX_ORDER, QuadFormInstance, psi_composition_representatio
                       trace_powers)
 from .posterior import (GRID_MAX, GRID_MIN, _parabola_vertex, map_estimate,
                         posterior_grid, posterior_moments, solve_alpha_n)
-from .symbols import (SinaiTruncation, _hurst_value, _symbol_value,
+from .symbols import (SinaiTruncation, _half_sinc_sq, _hurst_value, _symbol_value,
                       autocov_seq, f_ratio_derivatives, f_ratio_integral,
                       lattice_sum_regular, norming_constant)
 from .toeplitz import (InverseKernelSpec, build_system,
@@ -206,8 +208,8 @@ def run_slln(alpha, beta, n_list: Sequence[int] = (512, 2048, 8192),
                              "no finite limit (divergent case, raw value)")
     else:
         limit = f_ratio_integral(alpha, beta)
-        prov = ("limit (2 pi)^{-1} int g_beta/g_alpha via adaptive quadrature "
-                "of the closed-form densities")
+        prov = ("limit (2 pi)^{-1} int g_beta/g_alpha via a fixed Gauss rule "
+                "in x = -log t on the closed-form densities")
     rel = THRESHOLDS["slln_rel_tol"]
 
     records = []
@@ -257,21 +259,17 @@ def szego_constant(h, trunc: Optional[SinaiTruncation] = None) -> float:
     """log G(h) = (2 pi)^{-1} int log f_h.
 
     The log-singular and constant pieces integrate in closed form; the
-    remaining smooth factor goes through adaptive quadrature.
+    remaining smooth factor log(sinc(t/2)**2 (1 + t**s S_reg(t))) is
+    integrated on the fixed symbol rule in x = -log t with c = 1.
     """
     hv = _hurst_value(h)
     trunc = trunc if trunc is not None else SinaiTruncation()
     s = 2.0 * hv + 1.0
-    c = norming_constant(hv, trunc)
-
-    def smooth_log(t):
-        t = np.asarray(t, dtype=float)
-        half = np.where(t == 0.0, 1.0, np.sin(t / 2.0) / np.where(t == 0.0, 1.0, t / 2.0))
-        corr = t ** s * lattice_sum_regular(t, s, trunc)
-        return np.log(half * half * (1.0 + corr))
-
-    tail = adaptive_simpson(smooth_log, 0.0, math.pi, tol=1e-11) / math.pi
-    return math.log(c) + (2.0 - s) * (math.log(math.pi) - 1.0) + tail
+    x, w = log_power_rule(1.0)
+    t = np.exp(-x)
+    smooth_log = np.log(_half_sinc_sq(t) * (1.0 + t ** s * lattice_sum_regular(t, s, trunc)))
+    tail = float(w @ smooth_log) / math.pi
+    return math.log(norming_constant(hv)) + (2.0 - s) * (math.log(math.pi) - 1.0) + tail
 
 
 def _slope_tolerance(target: float) -> float:

@@ -28,10 +28,11 @@ import numpy as np
 import scipy.optimize
 from scipy.special import logsumexp
 
-from ._quadrature import graded_gl_rule
-from .symbols import (SinaiTruncation, _hurst_value, autocov_seq,
-                      f_ratio_derivatives, lattice_sum_regular,
-                      norming_constant)
+from .symbols import (DEFAULT_TRUNCATION, _hurst_value, _ratio_triple,
+                      autocov_seq, f_ratio_derivatives)
+# lattice_sum_regular and norming_constant are not called here;
+# perfbench/tracing.py wraps these names
+from .symbols import lattice_sum_regular, norming_constant  # noqa: F401
 from .toeplitz import build_system, logdet_and_quad, whittle_quad_form
 
 __all__ = [
@@ -425,31 +426,11 @@ def _scan_domain(h: float, eps: float) -> tuple:
 
 @lru_cache(maxsize=64)
 def _ratio_extrema(h: float, eps: float, scan_points: int):
-    """Grid extrema of alpha -> F(alpha) over (h - 1/2 + eps, 1).
-
-    All scan values share one graded quadrature grid (the most singular
-    endpoint behaviour t^{-1+2 eps} sets the grading), so the scan costs a
-    single lattice-sum sweep per alpha instead of an adaptive integration.
-    The extrema only enter bracket widths through their logarithms, so a
-    light lattice truncation is plenty here.
-    """
+    """Grid extrema of alpha -> F(alpha) over (h - 1/2 + eps, 1), each value
+    from the same fixed-rule ratio integral as ``f_ratio_derivatives``."""
     lo, hi = _scan_domain(h, eps)
-    alphas = np.linspace(lo, hi, scan_points)
-    b_c = h - 0.5
-    worst = 2.0 * ((lo - 0.5) - b_c)
-    nodes, weights = graded_gl_rule(math.pi, exponent=worst, digits=7.0)
-    trunc = SinaiTruncation(k_max=32, tail_order=3)
-    s_b = 2.0 * h + 1.0
-    t_b = nodes ** s_b * lattice_sum_regular(nodes, s_b, trunc)
-    c_b = norming_constant(h, trunc)
-    vals = np.empty(scan_points)
-    with np.errstate(over="ignore", under="ignore"):
-        for i, a in enumerate(alphas):
-            s_a = 2.0 * a
-            t_a = nodes ** (s_a + 1.0) * lattice_sum_regular(nodes, s_a + 1.0, trunc)
-            ratio = nodes ** (2.0 * (a - h)) * (1.0 + t_b) / (1.0 + t_a)
-            c_ratio = c_b / norming_constant(a, trunc)
-            vals[i] = c_ratio * float(np.dot(weights, ratio)) / math.pi
+    vals = np.array([_ratio_triple(a, h, DEFAULT_TRUNCATION).value
+                     for a in np.linspace(lo, hi, scan_points)])
     if not np.all(np.isfinite(vals)):
         raise ArithmeticError("ratio scan produced non-finite values")
     return float(vals.min()), float(vals.max())

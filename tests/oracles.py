@@ -59,11 +59,17 @@ def f_ratio_oracle(alpha: float, beta: float, digits: int = 20) -> float:
 
     alpha, beta are centered exponents (Hurst value minus 1/2); the integrand
     opens like t^{2(alpha-beta)} at zero, integrable for alpha - beta > -1/2.
+    Near that boundary most of the mass sits at tiny t, so the integral is
+    taken in x = -log t, split at x = 0, 10 and 100.
     """
     ha, hb = alpha + 0.5, beta + 0.5
+
+    def integrand(x):
+        t = mp.exp(-x)
+        return t * density_oracle(hb, t) / density_oracle(ha, t)
+
     with mp.workdps(digits):
-        val = mp.quad(lambda t: density_oracle(hb, t) / density_oracle(ha, t),
-                      [0, mp.pi]) / mp.pi
+        val = mp.quad(integrand, [-mp.log(mp.pi), 0, 10, 100, mp.inf]) / mp.pi
     return float(val)
 
 

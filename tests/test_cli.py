@@ -108,6 +108,16 @@ def test_estimate_missing_file_is_runtime_failure(tmp_path, capsys):
     assert "failure:" in err
 
 
+def test_estimate_near_one_gives_asymptotic_summary(capsys):
+    rc, out, _ = _run(capsys, "estimate", "--h", "0.9", "--n", "512",
+                      "--seed", "7")
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["map"] > 0.8
+    assert doc["alpha_n"] is not None and np.isfinite(doc["alpha_n"])
+    assert not any("asymptotic summary unavailable" in f for f in doc["flags"])
+
+
 def test_estimate_single_observation_flags(capsys):
     rc, out, _ = _run(capsys, "estimate", "--h", "0.5", "--n", "1")
     assert rc == 0

@@ -186,7 +186,7 @@ def test_w_asymptotics_classical_constant():
 def test_suite_evaluates_lattice_once_on_half_grid(alpha, monkeypatch):
     # one q_coefficient_check per exponent feeds the identity, q-residual and
     # r-decay records: a single lattice pass over the 2^15 positive midpoints
-    norming_constant(alpha + 0.5)  # the lru-cached quadrature is not counted
+    # (the norming constant is a closed form and evaluates no lattice sum)
     points = []
     original = symbols.lattice_sum_regular
 

@@ -1,4 +1,5 @@
 import math
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -297,6 +298,18 @@ def test_solve_frozen_values():
     assert abs(summary.alpha_n - 0.7) <= summary.m_const / ln_n ** 2
     assert summary.predicted_sd == pytest.approx(
         1.0 / (math.sqrt(summary.c_n * 4096.0) * ln_n), rel=1e-12)
+
+
+def test_solve_bounded_near_one():
+    # the bracket's upper end is clipped to just below 1, where F' carries
+    # d log C_h / dh ~ -1/(1 - h); the fixed rule must still return promptly
+    start = time.perf_counter()
+    for h in (0.85, 0.9, 0.95):
+        summary = solve_alpha_n(1024, h)
+        lo, hi = summary.bracket
+        assert lo < summary.alpha_n < hi
+        assert math.isfinite(summary.c_n) and summary.c_n > 0.0
+    assert time.perf_counter() - start < 5.0
 
 
 def test_solve_rejects_small_samples():
