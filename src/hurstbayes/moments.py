@@ -3,8 +3,10 @@
 Three independent routes are implemented and cross-checked in the tests:
 
 * a trace-power recursion for the raw moments Theta(n) = E<xi, A xi>^n,
-* direct Wick pairing enumeration (the oracle: (2n-1)!! pairings, each
-  evaluated by walking its cycles with n small matrix products),
+* direct Wick pairing enumeration (the oracle: the (2n-1)!! pairings are
+  walked once per order into cycle words and grouped by their multiset of
+  words; per instance each distinct word's trace is taken once, batched by
+  word length),
 * a composition-indexed closed form for the centred moments Psi(N),
   summing words R_{k_1} ... R_{k_m} over compositions of N with no part 1.
 
@@ -15,7 +17,9 @@ depth N <= 12 the float conversion is exact.
 """
 from __future__ import annotations
 
+import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,54 +113,95 @@ def _pairings(slots):
             yield ((first, partner),) + tail
 
 
-def _pairing_term(links: dict, matching) -> float:
-    """One Wick term: the product, over the cycles of the pairing, of the
-    trace of the chain of A C links met along each cycle.
+def _cycle_words(matching) -> list:
+    """The cycles of one pairing's network, each as the word of link codes
+    its walk crosses.
 
     Slots 2t and 2t + 1 carry the t-th factor's A edge and the matching adds
     one C edge per slot, so the network is a disjoint union of even cycles.
-    ``links[ta, tc]`` is A C with A (C) transposed when the walk crosses that
-    edge against slot order, so the value does not rely on symmetry.
+    Each link is A C, and its code 2 ta + tc records whether the walk crosses
+    the A (C) edge against slot order, so that edge enters transposed and the
+    value does not rely on symmetry.
     """
     partner = {}
     for p, q in matching:
         partner[p], partner[q] = q, p
     done = [False] * len(partner)
-    term = 1.0
+    words = []
     for start in range(0, len(partner), 2):
         if done[start]:
             continue
-        chain = None
+        word = []
         slot = start
         while True:
             out = slot ^ 1
             done[slot] = done[out] = True
             nxt = partner[out]
-            link = links[slot > out, out > nxt]
-            chain = link if chain is None else chain @ link
+            word.append(2 * (slot > out) + (out > nxt))
             slot = nxt
             if slot == start:
                 break
-        term *= float(np.trace(chain))
-    return term
+        words.append(tuple(word))
+    return words
+
+
+@dataclass(frozen=True)
+class _PairingPlan:
+    """The combinatorics of order n, independent of (A, C).
+
+    ``codes[k]`` stacks the distinct cycle words of length k, one row each,
+    in increasing k; the traces of all words, in that order, fill a vector
+    with one trailing 1.  Row g of ``index`` names the cycles of the
+    g-th group of pairings in that vector (padded with the trailing 1), and
+    ``mult[g]`` counts the pairings in the group.
+    """
+    codes: dict
+    index: np.ndarray
+    mult: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _pairing_plan(n: int) -> _PairingPlan:
+    groups = Counter(tuple(sorted(_cycle_words(matching)))
+                     for matching in _pairings(tuple(range(2 * n))))
+    words = sorted({w for key in groups for w in key}, key=lambda w: (len(w), w))
+    position = {w: i for i, w in enumerate(words)}
+    codes = {}
+    for w in words:
+        codes.setdefault(len(w), []).append(w)
+    codes = {k: np.array(rows, dtype=np.intp) for k, rows in codes.items()}
+    index = np.full((len(groups), n), len(words), dtype=np.intp)
+    for g, key in enumerate(groups):
+        index[g, :len(key)] = [position[w] for w in key]
+    mult = np.array(list(groups.values()), dtype=float)
+    return _PairingPlan(codes, index, mult)
 
 
 def theta_isserlis_oracle(inst: QuadFormInstance, n: int) -> float:
     """E<xi, A xi>^n by direct Wick pairing of the 2n Gaussian factors.
 
-    Each of the (2n-1)!! pairings is evaluated by walking its cycles, n small
-    matrix products per pairing; the pairing count caps n at 5.  This is the
-    reference the recursion is validated against and shares no code with it.
+    The (2n-1)!! pairings are walked once per order into their cycle words
+    and grouped by the multiset of words (cached per n).  Per instance each
+    distinct word's trace is taken once, in one batched chain of matrix
+    products per word length, and the groups are summed with their
+    multiplicities; the pairing count caps n at 5.  This is the reference
+    the recursion is validated against and shares no code with it.
     """
     if not (0 <= n <= 5):
         raise ValueError("pairing oracle supports n <= 5 only")
     if n == 0:
         return 1.0
+    plan = _pairing_plan(n)
     a, c = inst.a, inst.c
-    links = {(ta, tc): (a.T if ta else a) @ (c.T if tc else c)
-             for ta in (False, True) for tc in (False, True)}
-    return sum(_pairing_term(links, matching)
-               for matching in _pairings(tuple(range(2 * n))))
+    links = np.stack([a @ c, a @ c.T, a.T @ c, a.T @ c.T])
+    traces = []
+    for k, words in plan.codes.items():
+        chain = links[words[:, 0]]
+        for j in range(1, k):
+            chain = chain @ links[words[:, j]]
+        traces.append(np.trace(chain, axis1=1, axis2=2))
+    traces = np.concatenate(traces + [np.ones(1)])
+    return float(plan.mult @ traces[plan.index].prod(axis=1))
 
 
 def psi_direct(theta: np.ndarray, r1: float, n_max: int) -> np.ndarray:

@@ -39,7 +39,7 @@ __all__ = [
     "PosteriorGrid", "AsymptoticSummary", "log_posterior", "posterior_grid",
     "map_estimate", "posterior_moments", "credible_interval",
     "whittle_posterior", "kappa_value", "kappa_prime", "kappa_second",
-    "solve_alpha_n", "normal_approx_cdf", "EPS_MARGIN",
+    "solve_alpha_n", "normal_approx_cdf", "EPS_MARGIN", "MAX_POSTERIOR_N",
 ]
 
 # margin cutting out the neighbourhood of h - 1/2 where the ratio integral
@@ -49,6 +49,10 @@ EPS_MARGIN = 0.05
 GRID_MIN = 1e-3
 GRID_MAX = 1.0 - 1e-3
 _MIN_NODES = 64
+
+# cost ceiling of the exact grid: an estimate evaluates about 250-330 nodes
+# and each costs one O(n^2) Durbin pass, so longer samples are refused
+MAX_POSTERIOR_N = 1 << 16
 
 
 def _trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
@@ -240,13 +244,17 @@ def posterior_grid(y, prior: Optional[Callable[[float], float]] = None,
     """Adaptive posterior evaluation: coarse scan, then refinement rounds of
     ``refine_nodes`` nodes spanning +-``window_cells`` current cells around
     the mode.  The returned grid merges every evaluated node.  A sample
-    scaled so badly that its log posterior cannot be normalized is rejected
+    longer than ``MAX_POSTERIOR_N`` is rejected with ``ValueError`` before
+    any Durbin pass.  A sample scaled so badly that its log posterior cannot be normalized is rejected
     with ``ValueError`` as soon as the coarse scan shows it."""
     if not (GRID_MIN - 1e-12 <= grid_min < grid_max <= GRID_MAX + 1e-12):
         raise ValueError("grid bounds must satisfy 1e-3 <= min < max <= 1-1e-3")
     if coarse < _MIN_NODES:
         raise ValueError(f"coarse grid needs at least {_MIN_NODES} nodes")
     y = _check_sample(y)
+    if y.size > MAX_POSTERIOR_N:
+        raise ValueError(f"sample has {y.size} values; the exact posterior "
+                         f"grid is capped at n <= {MAX_POSTERIOR_N}")
     evaluated: dict[float, float] = {}
 
     def run_round(points: np.ndarray):

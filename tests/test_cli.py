@@ -102,6 +102,22 @@ def test_estimate_badly_scaled_input_is_usage_error(tmp_path, capsys):
     assert "rescale the sample" in err
 
 
+def test_estimate_over_length_ceiling_is_usage_error(tmp_path, capsys,
+                                                     monkeypatch):
+    from hurstbayes import posterior
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no grid node may be evaluated past the ceiling")
+
+    monkeypatch.setattr(posterior, "_log_kernel_nodes", refuse)
+    n = posterior.MAX_POSTERIOR_N + 1
+    long = tmp_path / "long.csv"
+    write_path_csv(sample_fgn(0.7, n, seed=1), str(long))
+    rc, _, err = _run(capsys, "estimate", "--in", str(long))
+    assert rc == 2
+    assert "error:" in err and str(posterior.MAX_POSTERIOR_N) in err
+
+
 def test_estimate_missing_file_is_runtime_failure(tmp_path, capsys):
     rc, _, err = _run(capsys, "estimate", "--in", str(tmp_path / "nope.csv"))
     assert rc == 1

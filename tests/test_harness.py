@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from hurstbayes import harness
 from hurstbayes.harness import (DEFAULT_MASTER_SEED, INFO, THRESHOLDS,
                                 ExperimentRecord, ExperimentReport,
                                 _map_cells, read_report_json,
@@ -146,6 +147,17 @@ def test_moment_suite_passes():
     assert max(r.statistic for r in rep.records) <= THRESHOLDS["moment_rel_tol"]
     with pytest.raises(ValueError):
         run_moment_suite(n_max=40)
+
+
+def test_moment_suite_catches_an_oracle_gap(monkeypatch):
+    # a relative gap of 1e-8 between the recursion and the pairing oracle is
+    # a hundred times the suite's tolerance and must fail the verdict
+    true_oracle = harness.theta_isserlis_oracle
+    monkeypatch.setattr(harness, "theta_isserlis_oracle",
+                        lambda inst, n: (1.0 + 1e-8) * true_oracle(inst, n))
+    assert THRESHOLDS["moment_rel_tol"] == 1e-10
+    rep = run_moment_suite(trials=3)
+    assert rep.verdict == "fail" and not rep.passed()
 
 
 @pytest.mark.filterwarnings("ignore:decay-fit window shrunk:RuntimeWarning")

@@ -104,6 +104,36 @@ def test_pairing_oracle_is_independent_of_recursion(monkeypatch):
         theta_isserlis_oracle(inst, order)
 
 
+@pytest.mark.parametrize("n", range(6))
+def test_pairing_plan_counts_every_pairing_once(n):
+    plan = moments._pairing_plan(n)
+    assert plan.mult.sum() == math.prod(range(1, 2 * n, 2))  # (2n-1)!!
+    # rebuild the grouping from the independent matching enumeration
+    expected = {}
+    for matching in oracles.perfect_matchings(tuple(range(2 * n))):
+        key = tuple(sorted(moments._cycle_words(matching)))
+        expected[key] = expected.get(key, 0) + 1
+    words = [tuple(row) for k in plan.codes for row in plan.codes[k]]
+    assert len(set(words)) == len(words)
+    groups = {}
+    for row, mult in zip(plan.index, plan.mult):
+        key = tuple(sorted(words[i] for i in row if i < len(words)))
+        groups[key] = groups.get(key, 0) + mult
+    assert groups == expected
+    assert len(groups) == len(plan.mult)
+
+
+def test_pairing_plan_is_reused_per_order(monkeypatch):
+    inst = random_instance(3, 6)
+    warm = theta_isserlis_oracle(inst, 4)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the order-4 plan must come from the cache")
+
+    monkeypatch.setattr(moments, "_pairings", refuse)
+    assert theta_isserlis_oracle(inst, 4) == warm
+
+
 def test_pairing_oracle_order_capped():
     with pytest.raises(ValueError):
         theta_isserlis_oracle(random_instance(2, 0), 6)
