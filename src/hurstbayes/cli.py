@@ -15,6 +15,7 @@ Numbers print with 9 significant digits; JSON output keeps full precision.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -64,7 +65,11 @@ def _resolve_seed(explicit: Optional[int]) -> int:
     return DEFAULT_SEED
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parsing reads the tree and leaves it unchanged,
+    # and every default that depends on the environment (the seed) is
+    # resolved at run time, not here
     parser = argparse.ArgumentParser(
         prog="hurstbayes",
         description="Exact Bayesian inference for the Hurst parameter of "

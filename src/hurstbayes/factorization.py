@@ -11,11 +11,19 @@ All grid work in this module uses the midpoint grid t_j = -pi + (j+1/2)*2pi/m
 (never sampling t = 0, where the symbol is singular); m is a power of two,
 default 2^16, and coefficients beyond m/4 are discarded as an aliasing guard.
 
-The smooth remainder depends on |t| only and the midpoint grid is symmetric,
-so each check evaluates its lattice sums once, on the m/2 positive points,
-and mirrors them.  One outer root r is built from those samples per exponent
-and feeds every diagnostic: the grid identity |q|^2 g_alpha = 1 is checked as
-max | |r(t)|^2 * smooth(t) - 1 |, since |w|^2 g_alpha equals smooth
+Every symbol factored here is even, so the outer root is built from the
+N = m/2 positive midpoints t_i = pi(i+1/2)/N alone, with real cosine and
+sine transforms of length N: a DCT-II of log psi^2, shifted one place and
+fed to a DST-III, gives its conjugate; q = exp(log psi^2 / 2) (cos, sin) of
+half that conjugate; and a DCT-II of Re q with a DST-II of Im q gives the
+real coefficients, C_k + S_k at k >= 0 and the discarded negative-frequency
+content C_k - S_k.  On the other half of the grid q(-t) = conj q(t).
+
+The smooth remainder depends on |t| only, so each check evaluates its
+lattice sums once, on those positive points.  One outer root r is built from
+them per exponent and feeds every diagnostic: the grid identity
+|q|^2 g_alpha = 1 is checked as max | |r(t)|^2 * smooth(t) - 1 | over the
+positive points (|r|^2 is even), since |w|^2 g_alpha equals smooth
 identically, and the q-residual and r-decay fits read the same coefficients.
 """
 from __future__ import annotations
@@ -45,6 +53,7 @@ __all__ = [
 
 _MIN_LOG2 = 10
 DEFAULT_LOG2_GRID = 16
+_ANTI_ANALYTIC_TOL = 1e-8
 
 
 def _check_grid_size(m: int):
@@ -63,7 +72,8 @@ def torus_grid(log2_m: int = DEFAULT_LOG2_GRID) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FourierCoeffs:
-    """One-sided coefficients values[k], k = 0..K, of an analytic function.
+    """Real one-sided coefficients values[k], k = 0..K, of an analytic
+    function that is the outer root of an even symbol.
 
     ``anti_analytic`` records the relative size of the negative-frequency
     content that was discarded; for a genuinely analytic construction it sits
@@ -73,13 +83,11 @@ class FourierCoeffs:
     anti_analytic: float = 0.0
 
     def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=complex)
+        if np.iscomplexobj(self.values):
+            raise ValueError("coefficients of the root of an even symbol are real")
+        v = np.ascontiguousarray(self.values, dtype=float)
         if v.ndim != 1 or v.size < 1:
             raise ValueError("coefficients must form a nonempty vector")
-        scale = np.max(np.abs(v))
-        if scale > 0 and abs(v[0].imag) > 1e-8 * scale:
-            raise ValueError("zeroth coefficient must be real")
-        v[0] = v[0].real
         object.__setattr__(self, "values", v)
 
     @property
@@ -87,19 +95,22 @@ class FourierCoeffs:
         return self.values.size - 1
 
     def sample(self, log2_m: int) -> np.ndarray:
-        """Evaluate the truncated series on the midpoint grid of 2^log2_m."""
-        m = 1 << log2_m
-        if m < self.values.size:
-            raise ValueError("grid too small for the stored coefficients")
-        step = 2.0 * math.pi / m
-        padded = np.zeros(m, dtype=complex)
-        k = np.arange(self.values.size)
-        padded[:self.values.size] = self.values * np.exp(1j * k * (-math.pi + 0.5 * step))
-        return np.fft.ifft(padded) * m
+        """Evaluate the truncated series on the midpoint grid of 2^log2_m.
 
-    def at_zero(self) -> complex:
+        The m/2 positive midpoints come from one cosine and one sine
+        transform (so K must stay below m/2); real coefficients make the
+        negative half their complex conjugates, mirrored.
+        """
+        n = (1 << log2_m) // 2
+        if n < self.values.size:
+            raise ValueError("grid too small for the stored coefficients")
+        re, im = _half_grid_values(self.values, n)
+        half = re + 1j * im
+        return np.concatenate((half[::-1].conj(), half))
+
+    def at_zero(self) -> float:
         """Function value at t = 0 (sum of the coefficients)."""
-        return complex(np.sum(self.values))
+        return float(np.sum(self.values))
 
 
 def w_hat_seq(alpha, k_max: int) -> np.ndarray:
@@ -186,60 +197,91 @@ def split_symbol(alpha, grid_size: int,
     """
     av = _symbol_value(alpha)
     _check_grid_size(grid_size)
-    return -2.0 * av, _smooth_samples(av, int(math.log2(grid_size)), trunc)
+    half = _smooth_half(av, int(math.log2(grid_size)), trunc)
+    return -2.0 * av, np.concatenate((half[::-1], half))
 
 
-def _smooth_samples(av: float, log2_m: int, trunc: SinaiTruncation) -> np.ndarray:
-    # smooth_part depends on |t| only and the midpoint grid is symmetric:
-    # evaluate the positive half and mirror it, so the samples are exactly even
+def _smooth_half(av: float, log2_m: int, trunc: SinaiTruncation) -> np.ndarray:
+    # smooth_part depends on |t| only: its samples on the m/2 positive
+    # midpoints determine it on the whole (symmetric) grid
     m = 1 << log2_m
-    half = smooth_part(av, torus_grid(log2_m)[m // 2:], trunc)
-    return np.concatenate((half[::-1], half))
+    return smooth_part(av, torus_grid(log2_m)[m // 2:], trunc)
 
 
 def _outer_root(av: float, log2_m: int, trunc: SinaiTruncation):
-    """Smooth-remainder samples on the midpoint grid and the outer root r of
-    their reciprocal psi^2 = 1/smooth; one lattice pass over m/2 points."""
-    smooth = _smooth_samples(av, log2_m, trunc)
-    return smooth, analytic_sqrt(1.0 / smooth)
+    """Smooth-remainder samples on the m/2 positive midpoints and the outer
+    root r of their reciprocal psi^2 = 1/smooth; one lattice pass."""
+    smooth = _smooth_half(av, log2_m, trunc)
+    return smooth, _even_outer_root(1.0 / smooth, _ANTI_ANALYTIC_TOL)
 
 
-def _coeffs_from_midpoint_samples(x: np.ndarray) -> np.ndarray:
-    m = x.size
-    step = 2.0 * math.pi / m
-    k = np.arange(m)
-    # signed frequencies: bins above m/2 alias to k - m
-    k_signed = np.where(k <= m // 2, k, k - m)
-    phase = np.exp(1j * k_signed * (math.pi - 0.5 * step))
-    return phase * np.fft.fft(x) / m
+def _half_grid_conjugate(x: np.ndarray) -> np.ndarray:
+    """hilbert_transform of an even function, from and on its N positive
+    midpoints t_i = pi(i+1/2)/N.
+
+    The DCT-II gives 2 sum_i x_i cos(k t_i), N times the cosine coefficient
+    of frequency k; shifted one place it feeds the DST-III sine series
+    sum_{k=1}^{N-1} (...) sin(k t_i).  The Nyquist term is zero, as in
+    hilbert_transform."""
+    n = x.size
+    c = scipy.fft.dct(x, 2)
+    c[:-1] = c[1:]
+    c[-1] = 0.0
+    return scipy.fft.dst(c, 3) / (2 * n)
+
+
+def _half_grid_values(coeffs: np.ndarray, n: int):
+    """(Re, Im) of sum_k coeffs[k] e^{ikt}, real coeffs with k < n, on the n
+    positive midpoints t_i = pi(i+1/2)/n: a DCT-III and a DST-III."""
+    re = 0.5 * (scipy.fft.dct(coeffs, 3, n=n) + coeffs[0])
+    im = 0.5 * scipy.fft.dst(coeffs[1:], 3, n=n)
+    return re, im
+
+
+def _even_outer_root(f_half: np.ndarray, anti_analytic_tol: float) -> FourierCoeffs:
+    # f_half samples an even positive function on the n = m/2 positive
+    # midpoints; q(-t) = conj q(t), so the coefficients are real
+    n = f_half.size
+    log_f = np.log(f_half)
+    half_conj = 0.5 * _half_grid_conjugate(log_f)
+    modulus = np.exp(0.5 * log_f)
+    # 2 sum_i (Re q cos(k t_i) + Im q sin(k t_i)), k = 0..n; C_n = 0 and
+    # S_0 = 0 on the midpoints
+    c = np.append(scipy.fft.dct(modulus * np.cos(half_conj), 2), 0.0)
+    s = np.insert(scipy.fft.dst(modulus * np.sin(half_conj), 2), 0, 0.0)
+    positive = (c + s) / (2 * n)
+    negative = (c[1:n] - s[1:n]) / (2 * n)
+    scale = max(np.max(np.abs(positive)), np.max(np.abs(negative)))
+    residual = float(np.max(np.abs(negative)) / scale)
+    if residual > anti_analytic_tol:
+        warnings.warn(
+            f"negative-frequency content {residual:.2e} above tolerance; "
+            "input may be insufficiently smooth for the requested accuracy",
+            RuntimeWarning, stacklevel=3)
+    return FourierCoeffs(positive[:n // 2 + 1], residual)
 
 
 def analytic_sqrt(f_samples: np.ndarray,
-                  anti_analytic_tol: float = 1e-8) -> FourierCoeffs:
-    """One-sided square root of a positive function on the midpoint grid.
+                  anti_analytic_tol: float = _ANTI_ANALYTIC_TOL) -> FourierCoeffs:
+    """One-sided square root of an even positive function on the midpoint
+    grid.
 
-    Returns coefficients of q analytic in the disc with q * conj(q) = f,
-    q(0) > 0 (outer normalization).  Coefficients beyond m/4 are discarded;
-    the relative mass found at negative frequencies is recorded and a warning
-    is raised if it exceeds ``anti_analytic_tol`` (non-smooth input).
+    Returns the real coefficients of q analytic in the disc with
+    q * conj(q) = f, q(0) > 0 (outer normalization).  f must be even,
+    f(-t) = f(t) to 1e-12 of its maximum, else ValueError; only its m/2
+    samples at positive t are used, through the cosine/sine construction in
+    the module docstring.  Coefficients beyond m/4 are discarded; the
+    relative mass found at negative frequencies is recorded and a warning is
+    raised if it exceeds ``anti_analytic_tol`` (non-smooth input).
     """
     f = np.asarray(f_samples, dtype=float)
     m = f.size
     _check_grid_size(m)
     if not np.all(np.isfinite(f)) or np.any(f <= 0.0):
         raise ValueError("samples must be finite and strictly positive")
-    log_f = np.log(f)
-    conj = hilbert_transform(log_f)
-    q = np.exp(0.5 * log_f + 0.5j * conj)
-    coeffs = _coeffs_from_midpoint_samples(q)
-    scale = np.max(np.abs(coeffs))
-    residual = float(np.max(np.abs(coeffs[m // 2 + 1:])) / scale)
-    if residual > anti_analytic_tol:
-        warnings.warn(
-            f"negative-frequency content {residual:.2e} above tolerance; "
-            "input may be insufficiently smooth for the requested accuracy",
-            RuntimeWarning, stacklevel=2)
-    return FourierCoeffs(coeffs[:m // 4 + 1], residual)
+    if np.max(np.abs(f - f[::-1])) > 1e-12 * np.max(f):
+        raise ValueError("samples must be even: f(-t) = f(t) on the midpoint grid")
+    return _even_outer_root(f[m // 2:], anti_analytic_tol)
 
 
 def whitening_coeffs(alpha, log2_m: int = DEFAULT_LOG2_GRID,
@@ -248,8 +290,7 @@ def whitening_coeffs(alpha, log2_m: int = DEFAULT_LOG2_GRID,
 
     Returns (w, r, q): binomial coefficients of (1-z)^alpha, the outer-root
     coefficients of psi^2 = 1/smooth, and their convolution q_hat, all
-    indexed 0..m/4.  The coefficients are real (even symbol); the imaginary
-    residue is checked before it is dropped.
+    indexed 0..m/4.  The coefficients are real, since the symbol is even.
     """
     av = _symbol_value(alpha)
     r = _outer_root(av, log2_m, trunc)[1]
@@ -258,17 +299,12 @@ def whitening_coeffs(alpha, log2_m: int = DEFAULT_LOG2_GRID,
 
 
 def _whiten(av: float, r: FourierCoeffs):
-    # q_hat = w_hat * r_hat over 0..k_max, after checking r_hat is real
-    imag = np.max(np.abs(r.values.imag)) / max(np.max(np.abs(r.values)), 1e-300)
-    if imag > 1e-10:
-        warnings.warn(f"outer-root coefficients carry imaginary residue {imag:.2e}",
-                      RuntimeWarning, stacklevel=2)
-    r_real = r.values.real
-    k_max = r_real.size - 1
+    # q_hat = w_hat * r_hat over 0..k_max
+    k_max = r.k_max
     w = w_hat_seq(av, k_max)
     # zero-padded to the full linear-convolution length, so nothing wraps
     size = scipy.fft.next_fast_len(2 * k_max + 1, real=True)
-    q = scipy.fft.irfft(scipy.fft.rfft(w, size) * scipy.fft.rfft(r_real, size), size)
+    q = scipy.fft.irfft(scipy.fft.rfft(w, size) * scipy.fft.rfft(r.values, size), size)
     return w, q[:k_max + 1]
 
 
@@ -278,13 +314,15 @@ def factorization_identity_error(alpha, r: FourierCoeffs,
     """Max relative error of |q|^2 * g_alpha = 1 over the midpoint grid,
     with q = w_alpha(t) * r(t) and r from its stored (truncated)
     coefficients.  Since |w_alpha|^2 * g_alpha is the smooth remainder, this
-    is max | |r(t)|^2 * smooth(t) - 1 |."""
+    is max | |r(t)|^2 * smooth(t) - 1 |, taken over the positive midpoints:
+    both factors are even."""
     av = _symbol_value(alpha)
-    return _identity_error(r, _smooth_samples(av, log2_m, trunc), log2_m)
+    return _identity_error(r, _smooth_half(av, log2_m, trunc))
 
 
-def _identity_error(r: FourierCoeffs, smooth: np.ndarray, log2_m: int) -> float:
-    return float(np.max(np.abs(np.abs(r.sample(log2_m)) ** 2 * smooth - 1.0)))
+def _identity_error(r: FourierCoeffs, smooth_half: np.ndarray) -> float:
+    re, im = _half_grid_values(r.values, smooth_half.size)
+    return float(np.max(np.abs((re * re + im * im) * smooth_half - 1.0)))
 
 
 @dataclass(frozen=True)
@@ -321,7 +359,7 @@ def r_coefficient_decay(alpha, k_max: Optional[int] = None,
 
 
 def _r_decay_fit(av: float, r: FourierCoeffs, k_max: Optional[int]) -> DecayFit:
-    mags = np.abs(r.values.real)
+    mags = np.abs(r.values)
     k_hi = r.values.size - 1 if k_max is None else min(k_max, r.values.size - 1)
     floor = 1e-13 * np.max(mags)
     shrunk = False
@@ -375,7 +413,7 @@ def q_coefficient_check(alpha, k_max: int = 10_000,
         raise ValueError("k_max must not exceed a quarter of the grid")
     smooth, r = _outer_root(av, log2_m, trunc)
     w, q = _whiten(av, r)
-    c_alpha = float(r.at_zero().real)
+    c_alpha = r.at_zero()
     if not math.isfinite(c_alpha) or c_alpha == 0.0:
         raise ArithmeticError("outer-root limit at t=0 must be finite nonzero")
     residual = q - c_alpha * w
@@ -385,7 +423,7 @@ def q_coefficient_check(alpha, k_max: int = 10_000,
     floor = -1.0 - av - 0.1
     return QCheckReport(av, c_alpha, slope, -(2.0 + av), (k_lo, k_max),
                         passed=slope <= target, failed_floor=slope > floor,
-                        identity_error=_identity_error(r, smooth, log2_m),
+                        identity_error=_identity_error(r, smooth),
                         r_decay=_r_decay_fit(av, r, None))
 
 

@@ -3,8 +3,9 @@
 Everything here recomputes package quantities through a different route:
 Hurwitz-zeta closed forms for the lattice sums, tanh-sinh quadrature in
 mpmath for the ratio integrals, weighted Clenshaw-Curtis quadrature for
-spectral autocovariances, dense linear algebra for Toeplitz answers, and
-one einsum tensor contraction per Wick pairing for quadratic-form moments.
+spectral autocovariances, dense linear algebra for Toeplitz answers,
+one einsum tensor contraction per Wick pairing for quadratic-form moments,
+and complex FFTs over the whole midpoint grid for outer square roots.
 None of it imports the module under test's internals beyond public entry
 points needed to build inputs.
 """
@@ -141,3 +142,24 @@ def isserlis_einsum_oracle(a: np.ndarray, c: np.ndarray, n: int) -> float:
         total += float(np.einsum(",".join(a_subs + c_subs) + "->", *operands,
                                  optimize=True))
     return total
+
+
+def outer_root_full_grid(f: np.ndarray) -> tuple:
+    """Outer square root of positive samples f on the whole midpoint grid
+    t_j = -pi + (j + 1/2) 2 pi / m: conjugate of log f by an rfft Hilbert
+    multiplier -i sgn(k), q = exp((log f + i conj) / 2) as a complex exp, and
+    its Fourier coefficients by a complex FFT with the midpoint phase.
+
+    Returns (coefficients 0..m/4, complex; largest negative-frequency
+    coefficient relative to the largest of all)."""
+    m = f.size
+    log_f = np.log(f)
+    spectrum = np.fft.rfft(log_f)
+    spectrum[0] = spectrum[-1] = 0.0
+    conj = np.fft.irfft(-1j * spectrum, n=m)
+    q = np.exp(0.5 * log_f + 0.5j * conj)
+    k = np.arange(m)
+    k_signed = np.where(k <= m // 2, k, k - m)
+    coeffs = np.exp(1j * k_signed * (math.pi - math.pi / m)) * np.fft.fft(q) / m
+    scale = np.max(np.abs(coeffs))
+    return coeffs[:m // 4 + 1], float(np.max(np.abs(coeffs[m // 2 + 1:])) / scale)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import hurstbayes
-from hurstbayes import harness, symbols
+from hurstbayes import cli, harness, symbols
 from hurstbayes.cli import main
 from hurstbayes.fgn import sample_fgn, write_path_csv
 from hurstbayes.harness import read_report_json
@@ -152,6 +152,22 @@ def test_verify_moments_writes_reports(tmp_path, capsys):
     report = read_report_json(prefix + ".json")
     assert report.passed() and len(report.records) == 5
     assert (tmp_path / "rep.csv").exists()
+
+
+def test_cached_parser_carries_nothing_between_calls(tmp_path, capsys,
+                                                     monkeypatch):
+    # the parser is built once per process; an explicit --seed in one call
+    # must not become the default of the next
+    monkeypatch.delenv("HURST_SEED", raising=False)
+    seeds = []
+    for i, extra in enumerate((["--seed", "5"], [])):
+        prefix = str(tmp_path / f"r{i}")
+        rc, _, _ = _run(capsys, "verify", "moments", "--paths", "2",
+                        *extra, "--out", prefix)
+        assert rc == 0
+        seeds.append(read_report_json(prefix + ".json").params["master_seed"])
+    assert seeds == [5, 1899]
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_verify_unknown_experiment(capsys):

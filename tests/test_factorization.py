@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.special
 
+import oracles
 from hurstbayes import factorization, symbols
 from hurstbayes.factorization import (FourierCoeffs, _outer_root, analytic_sqrt,
                                       factorization_identity_error,
@@ -103,11 +104,15 @@ def test_split_symbol_reassembles_density():
     assert np.allclose(reassembled, sinai_density(alpha + 0.5, t), rtol=1e-10)
 
 
-def test_analytic_sqrt_on_moving_average_symbol():
+def _moving_average_symbol(rho=0.4, log2_m=12):
     # f = |1 - rho e^{it}|^2 has outer square root 1 - rho e^{it} exactly
+    t = torus_grid(log2_m)
+    return np.abs(1.0 - rho * np.exp(1j * t)) ** 2
+
+
+def test_analytic_sqrt_on_moving_average_symbol():
     rho = 0.4
-    t = torus_grid(12)
-    f = np.abs(1.0 - rho * np.exp(1j * t)) ** 2
+    f = _moving_average_symbol(rho)
     root = analytic_sqrt(f)
     coeffs = root.values.real
     assert coeffs[0] == pytest.approx(1.0, abs=1e-12)
@@ -124,6 +129,66 @@ def test_analytic_sqrt_rejects_bad_symbols():
         analytic_sqrt(np.sin(t))  # changes sign
     with pytest.raises(ValueError):
         analytic_sqrt(np.full(t.size, np.nan))
+    with pytest.raises(ValueError, match="even"):
+        analytic_sqrt(2.0 + np.sin(t))  # positive but not even
+
+
+def test_anti_analytic_warning_flags_a_jump():
+    # an even symbol with jumps at |t| = 1 has no smooth outer root: the
+    # discarded negative frequencies are far above roundoff
+    t = torus_grid(12)
+    f = 2.5 + np.sign(np.abs(t) - 1.0)
+    with pytest.warns(RuntimeWarning, match="negative-frequency content"):
+        root = analytic_sqrt(f)
+    _, reference = oracles.outer_root_full_grid(f)
+    assert root.anti_analytic == pytest.approx(reference, rel=1e-9)
+    assert root.anti_analytic == pytest.approx(1.44e-4, rel=0.01)
+
+
+def test_smooth_symbol_does_not_warn():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        root = analytic_sqrt(_moving_average_symbol())
+    assert root.anti_analytic < 1e-13
+
+
+@pytest.mark.parametrize("alpha", [0.2, -0.2, 0.3, -0.3, -0.4, "ma1"])
+def test_outer_root_matches_full_grid_reference(alpha):
+    # the half-grid cosine/sine construction against complex FFTs over the
+    # whole grid
+    if alpha == "ma1":
+        f = _moving_average_symbol()
+        r = analytic_sqrt(f)
+    else:
+        smooth, r = _outer_root(alpha, 16, DEFAULT_TRUNCATION)
+        f = 1.0 / np.concatenate((smooth[::-1], smooth))
+    reference, _ = oracles.outer_root_full_grid(f)
+    assert r.k_max == reference.size - 1
+    scale = np.max(np.abs(reference))
+    assert np.max(np.abs(r.values - reference)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("alpha", [None, 0.2])
+def test_half_grid_conjugate_matches_hilbert_transform(alpha):
+    m = 1 << 12
+    if alpha is None:
+        half = np.random.default_rng(3).standard_normal(m // 2)
+        x = np.concatenate((half[::-1], half))
+    else:
+        x = -np.log(split_symbol(alpha, m)[1])
+    full = hilbert_transform(x)
+    got = factorization._half_grid_conjugate(x[m // 2:])
+    assert np.max(np.abs(got - full[m // 2:])) <= 1e-13 * np.max(np.abs(x))
+
+
+def test_fourier_coeffs_sample_matches_direct_sum():
+    values = np.random.default_rng(4).standard_normal(300) / np.arange(1, 301)
+    t = torus_grid(10)
+    direct = np.exp(1j * np.multiply.outer(t, np.arange(300))) @ values
+    got = FourierCoeffs(values).sample(10)
+    assert np.max(np.abs(got - direct)) < 1e-13
+    with pytest.raises(ValueError):
+        FourierCoeffs(values).sample(9)  # 300 coefficients need K < m/2
 
 
 def test_fourier_coeffs_container():
@@ -204,12 +269,15 @@ def test_suite_evaluates_lattice_once_on_half_grid(alpha, monkeypatch):
 
 @pytest.mark.parametrize("alpha", [0.2, -0.3])
 def test_outer_root_samples_are_even_and_match_full_grid(alpha):
+    # the outer root reads the smooth part on the 2^15 positive midpoints;
+    # split_symbol mirrors the same samples onto the whole grid
     smooth, r = _outer_root(alpha, 16, DEFAULT_TRUNCATION)
-    assert smooth.size == 1 << 16
-    assert np.array_equal(smooth, smooth[::-1])
-    full = smooth_part(alpha, torus_grid(16))
-    assert np.allclose(smooth, full, rtol=1e-14, atol=0.0)
+    assert np.array_equal(smooth, smooth_part(alpha, torus_grid(16)[1 << 15:]))
     assert r.k_max == (1 << 14)
+    mirrored = split_symbol(alpha, 1 << 16)[1]
+    assert np.array_equal(mirrored, mirrored[::-1])
+    full = smooth_part(alpha, torus_grid(16))
+    assert np.allclose(mirrored, full, rtol=1e-14, atol=0.0)
 
 
 # (identity error, q-residual slope, r-decay slope, w-hat tail constant) of
