@@ -124,8 +124,16 @@ def w_hat_seq(alpha, k_max: int) -> np.ndarray:
 
 
 def w_hat(alpha, k: int) -> float:
-    """Single coefficient of (1-z)^alpha; see w_hat_seq."""
-    return float(w_hat_seq(alpha, int(k))[-1])
+    """Single coefficient (-1)^k binom(alpha, k) of (1-z)^alpha, in closed
+    form: Gamma(k - alpha) / (Gamma(-alpha) k!) = rgamma(-alpha) /
+    poch(k - alpha, 1 + alpha), which is 0 for k >= 1 at alpha = 0."""
+    av = _symbol_value(alpha)
+    k = int(k)
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    if k == 0:
+        return 1.0
+    return float(scipy.special.rgamma(-av) / scipy.special.poch(k - av, 1.0 + av))
 
 
 def hilbert_transform(samples: np.ndarray) -> np.ndarray:

@@ -14,6 +14,13 @@ Everything is indexed by the traces R_j = Tr((A C)^j).  Falling factorials
 and the composition coefficients are computed in exact integer arithmetic
 (Python ints do not overflow), then converted to float; at the supported
 depth N <= 12 the float conversion is exact.
+
+Every function broadcasts over leading stack axes: an instance holds
+matrices of shape (..., d, d), traces and moments carry the order on the
+last axis, and a plain (d, d) instance is the unstacked case of the same
+code.  A stacked result equals the per-instance one up to the last bits of
+the oracle's weighted sum over pairing groups, whose rounding may depend on
+the stack size.
 """
 from __future__ import annotations
 
@@ -23,7 +30,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "QuadFormInstance", "MomentTable", "trace_powers", "theta_recursion",
@@ -37,21 +43,24 @@ MAX_ORDER = 12
 
 @dataclass(frozen=True)
 class QuadFormInstance:
-    """Pair (A, C): symmetric weight matrix and SPD covariance."""
+    """Pair (A, C): symmetric weight matrix and SPD covariance, or a stack
+    of such pairs with shape (..., d, d); every member must be SPD."""
     a: np.ndarray
     c: np.ndarray
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
         c = np.asarray(self.c, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
             raise ValueError("weight matrix must be square")
         if c.shape != a.shape:
             raise ValueError("covariance shape must match the weight matrix")
-        a = 0.5 * (a + a.T)
-        c = 0.5 * (c + c.T)
+        if not (np.isfinite(a).all() and np.isfinite(c).all()):
+            raise ValueError("weight and covariance entries must be finite")
+        a = 0.5 * (a + np.swapaxes(a, -1, -2))
+        c = 0.5 * (c + np.swapaxes(c, -1, -2))
         try:
-            scipy.linalg.cholesky(c)
+            np.linalg.cholesky(c)
         except np.linalg.LinAlgError as exc:
             raise ValueError("covariance must be positive definite") from exc
         object.__setattr__(self, "a", a)
@@ -59,7 +68,7 @@ class QuadFormInstance:
 
     @property
     def dim(self) -> int:
-        return self.a.shape[0]
+        return self.a.shape[-1]
 
 
 def _check_order(n_max: int):
@@ -68,14 +77,16 @@ def _check_order(n_max: int):
 
 
 def trace_powers(inst: QuadFormInstance, n_max: int) -> np.ndarray:
-    """Traces R_j = Tr((A C)^j) for j = 1..n_max (index 0 holds R_1)."""
+    """Traces R_j = Tr((A C)^j) for j = 1..n_max, shape (..., n_max)
+    (index 0 holds R_1)."""
     _check_order(n_max)
     m = inst.a @ inst.c
-    out = np.empty(n_max)
-    p = np.eye(inst.dim)
-    for j in range(n_max):
+    out = np.empty(m.shape[:-2] + (n_max,))
+    p = m
+    out[..., 0] = np.trace(p, axis1=-2, axis2=-1)
+    for j in range(1, n_max):
         p = p @ m
-        out[j] = np.trace(p)
+        out[..., j] = np.trace(p, axis1=-2, axis2=-1)
     return out
 
 
@@ -84,20 +95,25 @@ def _falling(n: int, k: int) -> int:
     return math.prod(range(n - k + 1, n + 1))
 
 
+def _check_last_axis(x: np.ndarray, length: int, what: str):
+    if x.ndim == 0 or x.shape[-1] < length:
+        raise ValueError(f"need {what} up to order n_max")
+
+
 def theta_recursion(r: np.ndarray, n_max: int) -> np.ndarray:
-    """Raw moments Theta(0..n_max) from the traces via
-    Theta(n) = sum_j 2^{j-1} (n-1)_{j-1} R_j Theta(n-j)."""
+    """Raw moments Theta(0..n_max) from the traces (order on the last axis)
+    via Theta(n) = sum_j 2^{j-1} (n-1)_{j-1} R_j Theta(n-j)."""
     _check_order(n_max)
     r = np.asarray(r, dtype=float)
-    if r.size < n_max:
-        raise ValueError("need traces up to order n_max")
-    theta = np.empty(n_max + 1)
-    theta[0] = 1.0
+    _check_last_axis(r, n_max, "traces")
+    theta = np.empty(r.shape[:-1] + (n_max + 1,))
+    theta[..., 0] = 1.0
     for n in range(1, n_max + 1):
         acc = 0.0
         for j in range(1, n + 1):
-            acc += (2.0 ** (j - 1)) * float(_falling(n - 1, j - 1)) * r[j - 1] * theta[n - j]
-        theta[n] = acc
+            acc = acc + ((2.0 ** (j - 1)) * float(_falling(n - 1, j - 1))
+                         * r[..., j - 1] * theta[..., n - j])
+        theta[..., n] = acc
     return theta
 
 
@@ -177,47 +193,54 @@ def _pairing_plan(n: int) -> _PairingPlan:
     return _PairingPlan(codes, index, mult)
 
 
-def theta_isserlis_oracle(inst: QuadFormInstance, n: int) -> float:
-    """E<xi, A xi>^n by direct Wick pairing of the 2n Gaussian factors.
+def theta_isserlis_oracle(inst: QuadFormInstance, n: int) -> float | np.ndarray:
+    """E<xi, A xi>^n by direct Wick pairing of the 2n Gaussian factors: a
+    float for one instance, an array of the stack's shape for a stack.
 
     The (2n-1)!! pairings are walked once per order into their cycle words
-    and grouped by the multiset of words (cached per n).  Per instance each
-    distinct word's trace is taken once, in one batched chain of matrix
-    products per word length, and the groups are summed with their
-    multiplicities; the pairing count caps n at 5.  This is the reference
-    the recursion is validated against and shares no code with it.
+    and grouped by the multiset of words (cached per n).  Each distinct
+    word's trace is taken once per instance, in one chain of matrix products
+    per word length batched over the words and the stack, and the groups are
+    summed with their multiplicities; the pairing count caps n at 5.  This
+    is the reference the recursion is validated against and shares no code
+    with it.
     """
     if not (0 <= n <= 5):
         raise ValueError("pairing oracle supports n <= 5 only")
-    if n == 0:
-        return 1.0
-    plan = _pairing_plan(n)
     a, c = inst.a, inst.c
-    links = np.stack([a @ c, a @ c.T, a.T @ c, a.T @ c.T])
+    stack = a.shape[:-2]
+    if n == 0:
+        return 1.0 if not stack else np.ones(stack)
+    plan = _pairing_plan(n)
+    at, ct = np.swapaxes(a, -1, -2), np.swapaxes(c, -1, -2)
+    # link codes index axis -3: (..., 4, d, d)
+    links = np.stack([a @ c, a @ ct, at @ c, at @ ct], axis=-3)
     traces = []
     for k, words in plan.codes.items():
-        chain = links[words[:, 0]]
+        chain = links.take(words[:, 0], axis=-3)
         for j in range(1, k):
-            chain = chain @ links[words[:, j]]
-        traces.append(np.trace(chain, axis1=1, axis2=2))
-    traces = np.concatenate(traces + [np.ones(1)])
-    return float(plan.mult @ traces[plan.index].prod(axis=1))
+            chain = chain @ links.take(words[:, j], axis=-3)
+        traces.append(np.trace(chain, axis1=-2, axis2=-1))
+    traces = np.concatenate(traces + [np.ones(stack + (1,))], axis=-1)
+    value = traces[..., plan.index].prod(axis=-1) @ plan.mult
+    return float(value) if not stack else value
 
 
-def psi_direct(theta: np.ndarray, r1: float, n_max: int) -> np.ndarray:
+def psi_direct(theta: np.ndarray, r1: float | np.ndarray, n_max: int) -> np.ndarray:
     """Centred moments Psi(1..n_max) = E(<xi,Axi> - R_1)^N by binomial
-    inversion of the raw moments."""
+    inversion of the raw moments (order on the last axis of ``theta``;
+    ``r1`` has the stack's shape)."""
     _check_order(n_max)
     theta = np.asarray(theta, dtype=float)
-    if theta.size < n_max + 1:
-        raise ValueError("need raw moments up to order n_max")
-    psi = np.empty(n_max)
+    r1 = np.asarray(r1, dtype=float)
+    _check_last_axis(theta, n_max + 1, "raw moments")
+    psi = np.empty(np.broadcast_shapes(theta.shape[:-1], r1.shape) + (n_max,))
     for big_n in range(1, n_max + 1):
         acc = 0.0
         for k in range(big_n + 1):
-            acc += (math.comb(big_n, k) * (-1.0) ** (big_n - k)
-                    * theta[k] * r1 ** (big_n - k))
-        psi[big_n - 1] = acc
+            acc = acc + (math.comb(big_n, k) * (-1.0) ** (big_n - k)
+                         * theta[..., k] * r1 ** (big_n - k))
+        psi[..., big_n - 1] = acc
     return psi
 
 
@@ -247,21 +270,20 @@ def composition_coefficient(k: tuple[int, ...]) -> float:
 
 
 def psi_composition_representation(r: np.ndarray, n_max: int) -> np.ndarray:
-    """Centred moments Psi(1..n_max) summed over compositions with no part 1:
-    Psi(N) = sum_m 2^{N-m} sum_{k} R^k c(k)."""
+    """Centred moments Psi(1..n_max) summed over compositions with no part 1
+    (order on the last axis of ``r``): Psi(N) = sum_m 2^{N-m} sum_{k} R^k c(k)."""
     _check_order(n_max)
     r = np.asarray(r, dtype=float)
-    if r.size < n_max:
-        raise ValueError("need traces up to order n_max")
-    psi = np.zeros(n_max)
+    _check_last_axis(r, n_max, "traces")
+    psi = np.zeros(r.shape[:-1] + (n_max,))
     for big_n in range(1, n_max + 1):
         acc = 0.0
         for m in range(1, big_n // 2 + 1):
             scale = 2.0 ** (big_n - m)
             for k in compositions_no_ones(m, big_n):
-                word = math.prod(r[part - 1] for part in k)
-                acc += scale * word * composition_coefficient(k)
-        psi[big_n - 1] = acc
+                word = math.prod(r[..., part - 1] for part in k)
+                acc = acc + scale * word * composition_coefficient(k)
+        psi[..., big_n - 1] = acc
     return psi
 
 
@@ -280,22 +302,25 @@ def moment_bound_constant(big_n: int) -> float:
 
 @dataclass(frozen=True)
 class MomentTable:
-    """Traces, raw moments, and centred moments of one instance."""
+    """Traces, raw moments, and centred moments of one instance or of a
+    stack (order on the last axis)."""
     r: np.ndarray
     theta: np.ndarray
     psi: np.ndarray
 
     def __post_init__(self):
-        if self.theta.size != self.r.size + 1 or self.psi.size != self.r.size:
+        if (self.psi.shape != self.r.shape
+                or self.theta.shape != self.r.shape[:-1] + (self.r.shape[-1] + 1,)):
             raise ValueError("inconsistent table lengths")
-        if abs(self.theta[0] - 1.0) > 0.0:
+        if np.any(self.theta[..., 0] != 1.0):
             raise ValueError("Theta(0) must be 1")
-        if abs(self.psi[0]) > 1e-9 * max(1.0, abs(self.r[0])):
+        if np.any(np.abs(self.psi[..., 0])
+                  > 1e-9 * np.maximum(1.0, np.abs(self.r[..., 0]))):
             raise ValueError("Psi(1) must vanish")
 
 
 def moment_table(inst: QuadFormInstance, n_max: int) -> MomentTable:
     r = trace_powers(inst, n_max)
     theta = theta_recursion(r, n_max)
-    psi = psi_direct(theta, float(r[0]), n_max)
+    psi = psi_direct(theta, r[..., 0], n_max)
     return MomentTable(r, theta, psi)

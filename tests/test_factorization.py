@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special
@@ -45,6 +46,20 @@ def test_w_hat_matches_binomial():
     assert np.allclose(seq, ref, rtol=1e-13)
     assert w_hat(alpha, 5) == pytest.approx(seq[5], rel=1e-14)
     assert seq[0] == 1.0
+
+
+@pytest.mark.parametrize("alpha", [0.2, -0.2, 0.3, -0.3, 0.45, -0.45])
+def test_w_hat_closed_form_matches_mpmath_binomial(alpha):
+    for k in (0, 1, 2, 7, 100, 9_999, 100_000):
+        ref = (-1) ** k * mp.binomial(mp.mpf(alpha), k)
+        assert w_hat(alpha, k) == pytest.approx(float(ref), rel=1e-10, abs=0.0), k
+
+
+def test_w_hat_edge_cases():
+    assert w_hat(0.3, 0) == 1.0 and w_hat(0.0, 0) == 1.0
+    assert all(w_hat(0.0, k) == 0.0 for k in (1, 5, 100_000))
+    with pytest.raises(ValueError):
+        w_hat(0.3, -1)
 
 
 @pytest.mark.parametrize("alpha", [0.2, -0.2, 0.3, -0.3])

@@ -1,4 +1,5 @@
 import io
+import json
 import math
 
 import mpmath as mp
@@ -15,6 +16,10 @@ from hurstbayes.harness import (DEFAULT_MASTER_SEED, INFO, THRESHOLDS,
                                 run_moment_suite, run_slln, scaled_thresholds,
                                 szego_constant, write_report_csv,
                                 write_report_json)
+from hurstbayes.fgn import replicate_rng
+from hurstbayes.moments import (QuadFormInstance, psi_composition_representation,
+                                psi_direct, theta_isserlis_oracle, theta_recursion,
+                                trace_powers)
 from hurstbayes.symbols import f_ratio_integral
 
 
@@ -160,6 +165,48 @@ def test_moment_suite_catches_an_oracle_gap(monkeypatch):
     assert rep.verdict == "fail" and not rep.passed()
 
 
+def test_moment_suite_runs_each_stage_once_per_matrix_size(monkeypatch):
+    calls = []
+    true_oracle = harness.theta_isserlis_oracle
+
+    def counted(inst, n):
+        calls.append((inst.a.shape, n))
+        return true_oracle(inst, n)
+
+    monkeypatch.setattr(harness, "theta_isserlis_oracle", counted)
+    rep = run_moment_suite(trials=20)
+    assert rep.passed() and len(rep.records) == 20
+    # three sizes times orders 1-4, on stacks of 7, 7 and 6 trials
+    assert len(calls) == 12
+    assert sorted({shape for shape, _ in calls}) == [(6, 4, 4), (7, 2, 2), (7, 3, 3)]
+    assert [r.seed for r in rep.records] == list(range(20))
+    assert [r.n for r in rep.records] == [(2, 3, 4)[t % 3] for t in range(20)]
+
+
+def test_moment_suite_reproducible():
+    a = run_moment_suite(dims=(2, 3), trials=9, master_seed=5)
+    b = run_moment_suite(dims=(2, 3), trials=9, master_seed=5)
+    assert a.records == b.records and a.params == b.params
+    assert run_moment_suite(dims=(2, 3), trials=9, master_seed=6).records != a.records
+
+
+def test_moment_suite_stacked_gaps_match_per_trial():
+    # each record is its own trial's gap, recomputed here one instance at a
+    # time; only the last bits may differ
+    rep = run_moment_suite(trials=7)
+    for rec in rep.records:
+        a, c = harness._random_pair(rec.n, replicate_rng(DEFAULT_MASTER_SEED, rec.seed))
+        inst = QuadFormInstance(a, c)
+        r = trace_powers(inst, 4)
+        theta = theta_recursion(r, 4)
+        oracle = [theta_isserlis_oracle(inst, n) for n in range(5)]
+        gaps = [abs(theta[n] - oracle[n]) / max(1.0, abs(oracle[n])) for n in range(1, 5)]
+        psi = psi_direct(theta, r[0], 4)
+        psi_comp = psi_composition_representation(r, 4)
+        gaps += [abs(psi[n] - psi_comp[n]) / max(1.0, abs(psi[n])) for n in range(1, 4)]
+        assert rec.statistic == pytest.approx(max(gaps), abs=2e-15)
+
+
 @pytest.mark.filterwarnings("ignore:decay-fit window shrunk:RuntimeWarning")
 def test_factorization_suite_single_alpha():
     rep = run_factorization_suite(alphas=(0.2,))
@@ -190,6 +237,32 @@ def test_json_round_trip_is_identity(tmp_path):
     path = str(tmp_path / "report.json")
     write_report_json(rep, path)
     assert read_report_json(path) == rep
+
+
+def test_json_written_in_one_write_matches_chunked_dump(tmp_path):
+    rep = run_moment_suite(trials=3)
+    old = io.StringIO()
+    json.dump({"name": rep.name, "params": rep.params,
+               "records": [harness._record_to_dict(r) for r in rep.records],
+               "verdict": rep.verdict, "wall_time": rep.wall_time}, old, indent=2)
+    old.write("\n")
+
+    class Counting(io.StringIO):
+        def __init__(self):
+            super().__init__()
+            self.writes = 0
+
+        def write(self, text):
+            self.writes += 1
+            return super().write(text)
+
+    new = Counting()
+    write_report_json(rep, new)
+    assert new.getvalue() == old.getvalue()
+    assert new.writes == 1
+    path = tmp_path / "report.json"
+    write_report_json(rep, str(path))
+    assert path.read_bytes() == old.getvalue().encode()
 
 
 def test_csv_is_lossless(tmp_path):

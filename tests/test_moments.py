@@ -34,6 +34,81 @@ def test_instance_validation():
     assert inst.a[0, 1] == inst.a[1, 0] == 1.0  # symmetrized
 
 
+def random_stack(d: int, size: int, seed: int) -> tuple:
+    """Raw (A, C) stacks: A not symmetric, C SPD plus a small asymmetric part."""
+    rng = replicate_rng(seed, 1000 + d)
+    b = rng.standard_normal((size, d, d))
+    c = b @ np.swapaxes(b, -1, -2) + d * np.eye(d)
+    a = rng.standard_normal((size, d, d))
+    return a, c + 0.1 * rng.standard_normal((size, d, d))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_stacked_functions_match_per_instance_loop(d):
+    a, c = random_stack(d, 5, d)
+    stacked = QuadFormInstance(a, c)
+    assert stacked.dim == d and stacked.a.shape == (5, d, d)
+    r = trace_powers(stacked, 6)
+    theta = theta_recursion(r, 6)
+    psi = psi_direct(theta, r[:, 0], 6)
+    psi_comp = psi_composition_representation(r, 6)
+    table = moment_table(stacked, 6)
+    oracle = {n: theta_isserlis_oracle(stacked, n) for n in range(6)}
+    assert r.shape == psi.shape == psi_comp.shape == (5, 6)
+    assert theta.shape == (5, 7)
+    for i in range(5):
+        one = QuadFormInstance(a[i], c[i])
+        assert np.array_equal(stacked.a[i], one.a)
+        assert np.array_equal(stacked.c[i], one.c)
+        r_i = trace_powers(one, 6)
+        theta_i = theta_recursion(r_i, 6)
+        np.testing.assert_allclose(r[i], r_i, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(theta[i], theta_i, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(psi[i], psi_direct(theta_i, r_i[0], 6),
+                                   rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(psi_comp[i],
+                                   psi_composition_representation(r_i, 6),
+                                   rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(table.psi[i], moment_table(one, 6).psi,
+                                   rtol=1e-14, atol=1e-14)
+        for n in range(6):
+            single = theta_isserlis_oracle(one, n)
+            assert isinstance(single, float)
+            assert oracle[n][i] == pytest.approx(single, rel=1e-14, abs=0.0)
+    assert all(oracle[n].shape == (5,) for n in range(6))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_stacked_oracle_matches_einsum_on_raw_stacks(d):
+    # the raw stack reaches the cycle walk unsymmetrized
+    a, c = random_stack(d, 3, 50 + d)
+    raw = SimpleNamespace(a=a, c=c)
+    for order in range(5):
+        got = theta_isserlis_oracle(raw, order)
+        ref = [oracles.isserlis_einsum_oracle(a[i], c[i], order) for i in range(3)]
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
+
+def test_stack_with_one_bad_member_is_rejected():
+    a, c = random_stack(3, 4, 9)
+    c = 0.5 * (c + np.swapaxes(c, -1, -2))
+    c[2] = -np.eye(3)  # one member not positive definite
+    with pytest.raises(ValueError):
+        QuadFormInstance(a, c)
+    with pytest.raises(ValueError):
+        QuadFormInstance(a, c[:3])  # stack sizes differ
+    with pytest.raises(ValueError):
+        QuadFormInstance(a[:, :2, :2], c[:, :2, :])  # matrices not square
+    with pytest.raises(ValueError):
+        QuadFormInstance(a[:, :2, :2], c[:, :3, :3])  # sizes differ
+    with pytest.raises(ValueError):
+        QuadFormInstance(np.ones(3), np.ones(3))  # not a matrix
+    c_nan = np.broadcast_to(np.eye(3), a.shape).copy()
+    c_nan[1, 0, 0] = np.nan
+    with pytest.raises(ValueError):
+        QuadFormInstance(a, c_nan)
+
+
 def test_trace_powers_match_direct():
     inst = random_instance(3, 11)
     m = inst.a @ inst.c
