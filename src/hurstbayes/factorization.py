@@ -18,6 +18,9 @@ fed to a DST-III, gives its conjugate; q = exp(log psi^2 / 2) (cos, sin) of
 half that conjugate; and a DCT-II of Re q with a DST-II of Im q gives the
 real coefficients, C_k + S_k at k >= 0 and the discarded negative-frequency
 content C_k - S_k.  On the other half of the grid q(-t) = conj q(t).
+Those transforms come from ``scipy.fft``, and the Gamma-function constants
+from ``scipy.special``; both are imported inside the functions that call
+them, so importing the package loads neither.
 
 The smooth remainder depends on |t| only, so each check evaluates its
 lattice sums once, on those positive points.  One outer root r is built from
@@ -34,8 +37,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.fft
-import scipy.special
 
 from .symbols import (DEFAULT_TRUNCATION, SinaiTruncation, _symbol_value,
                       lattice_sum_regular, norming_constant)
@@ -127,6 +128,7 @@ def w_hat(alpha, k: int) -> float:
     """Single coefficient (-1)^k binom(alpha, k) of (1-z)^alpha, in closed
     form: Gamma(k - alpha) / (Gamma(-alpha) k!) = rgamma(-alpha) /
     poch(k - alpha, 1 + alpha), which is 0 for k >= 1 at alpha = 0."""
+    import scipy.special
     av = _symbol_value(alpha)
     k = int(k)
     if k < 0:
@@ -231,6 +233,7 @@ def _half_grid_conjugate(x: np.ndarray) -> np.ndarray:
     of frequency k; shifted one place it feeds the DST-III sine series
     sum_{k=1}^{N-1} (...) sin(k t_i).  The Nyquist term is zero, as in
     hilbert_transform."""
+    import scipy.fft
     n = x.size
     c = scipy.fft.dct(x, 2)
     c[:-1] = c[1:]
@@ -241,6 +244,7 @@ def _half_grid_conjugate(x: np.ndarray) -> np.ndarray:
 def _half_grid_values(coeffs: np.ndarray, n: int):
     """(Re, Im) of sum_k coeffs[k] e^{ikt}, real coeffs with k < n, on the n
     positive midpoints t_i = pi(i+1/2)/n: a DCT-III and a DST-III."""
+    import scipy.fft
     re = 0.5 * (scipy.fft.dct(coeffs, 3, n=n) + coeffs[0])
     im = 0.5 * scipy.fft.dst(coeffs[1:], 3, n=n)
     return re, im
@@ -249,6 +253,7 @@ def _half_grid_values(coeffs: np.ndarray, n: int):
 def _even_outer_root(f_half: np.ndarray, anti_analytic_tol: float) -> FourierCoeffs:
     # f_half samples an even positive function on the n = m/2 positive
     # midpoints; q(-t) = conj q(t), so the coefficients are real
+    import scipy.fft
     n = f_half.size
     log_f = np.log(f_half)
     half_conj = 0.5 * _half_grid_conjugate(log_f)
@@ -308,6 +313,7 @@ def whitening_coeffs(alpha, log2_m: int = DEFAULT_LOG2_GRID,
 
 def _whiten(av: float, r: FourierCoeffs):
     # q_hat = w_hat * r_hat over 0..k_max
+    import scipy.fft
     k_max = r.k_max
     w = w_hat_seq(av, k_max)
     # zero-padded to the full linear-convolution length, so nothing wraps
@@ -457,6 +463,7 @@ def w_asymptotics(alpha, k: int = 100_000) -> WAsymptoticsReport:
     """Measure the constant in w_hat(k) ~ const * k^{-1-alpha} and report it
     next to 1/Gamma(-alpha) and 1/Gamma(-(1+alpha)); the winner is determined
     empirically, neither is assumed."""
+    import scipy.special
     av = _symbol_value(alpha)
     if av == 0.0:
         raise ValueError("asymptotic constant is degenerate at alpha = 0")

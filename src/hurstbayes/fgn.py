@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Optional, Union
 
 import numpy as np
-import scipy.linalg
 
 from .symbols import _hurst_value, autocov_seq
+from .toeplitz import toeplitz_matrix
 
 __all__ = [
     "FgnPath", "RescaledSample", "EmbeddingError", "embedding_eigenvalues",
@@ -119,9 +119,7 @@ def _unit_fgn_circulant(hv: float, n: int, rng: np.random.Generator) -> np.ndarr
 
 def _cholesky_factor(hv: float, n: int) -> np.ndarray:
     """Exact lower-triangular factor of the n x n covariance for Hurst hv."""
-    cov = scipy.linalg.toeplitz(autocov_seq(hv, n).gammas)
-    return scipy.linalg.cholesky(cov, lower=True, overwrite_a=True,
-                                 check_finite=False)
+    return np.linalg.cholesky(toeplitz_matrix(autocov_seq(hv, n).gammas))
 
 
 def _unit_fgn_cholesky(hv: float, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -6,7 +6,10 @@ forms, log-determinant growth, posterior concentration, factorization
 residuals, inverse-entry envelopes, moment identities), and packages the
 outcome as an :class:`ExperimentReport` whose records each carry the target
 value, the tolerance, and a provenance string naming the oracle behind the
-target.  Pass/fail policy lives in the single ``THRESHOLDS`` table.
+target.  Pass/fail policy lives in the single ``THRESHOLDS`` table, a
+read-only view whose ``*_tol`` entries carry the tolerance scale of the
+current context (``scaled_thresholds``), so concurrent verifications at
+different scales never see each other's tolerances.
 
 Reports are bitwise reproducible from (experiment name, master seed,
 parameters): every random cell seeds its own generator through
@@ -16,17 +19,18 @@ exempt from reproducibility.
 """
 from __future__ import annotations
 
+import contextvars
 import csv
 import json
 import math
 import time
+from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import IO, Optional, Sequence, Union
 
 import numpy as np
-import scipy.linalg
 
 # adaptive_simpson is not called here; perfbench/tracing.py wraps this name
 from ._quadrature import adaptive_simpson  # noqa: F401
@@ -44,7 +48,7 @@ from .symbols import (SinaiTruncation, _half_sinc_sq, _hurst_value, _symbol_valu
                       autocov_seq, f_ratio_derivatives, f_ratio_integral,
                       lattice_sum_regular, norming_constant)
 from .toeplitz import (InverseKernelSpec, build_system,
-                       inverse_kernel_prediction, quad_form)
+                       inverse_kernel_prediction, quad_form, toeplitz_matrix)
 
 __all__ = [
     "THRESHOLDS", "DEFAULT_MASTER_SEED", "ExperimentRecord", "ExperimentReport",
@@ -58,7 +62,7 @@ __all__ = [
 DEFAULT_MASTER_SEED = 1899
 
 # Single source of pass/fail policy; experiments read, never hard-code.
-THRESHOLDS = {
+_BASE_THRESHOLDS = {
     "slln_rel_tol": 0.10,            # |stat/limit - 1| per convergent cell
     "slln_pass_fraction": 0.8,       # fraction of seeds required at n_max
     "det_slope_rel_tol": 0.10,       # slope vs (1-2h)^2/4, large exponents
@@ -77,21 +81,39 @@ THRESHOLDS = {
 }
 
 
+_TOL_SCALE = contextvars.ContextVar("tol_scale", default=1.0)
+
+
+class _Thresholds(Mapping):
+    """The threshold table as the current context sees it: every ``*_tol``
+    entry times the scale set by :func:`scaled_thresholds`."""
+
+    def __getitem__(self, key):
+        value = _BASE_THRESHOLDS[key]
+        return value * _TOL_SCALE.get() if key.endswith("_tol") else value
+
+    def __iter__(self):
+        return iter(_BASE_THRESHOLDS)
+
+    def __len__(self):
+        return len(_BASE_THRESHOLDS)
+
+
+THRESHOLDS = _Thresholds()
+
+
 @contextmanager
 def scaled_thresholds(scale: float):
-    """Temporarily multiply every ``*_tol`` entry (bands and fractions stay
-    put); experiments read the table at call time, so this scopes cleanly."""
+    """Multiply every ``*_tol`` entry (bands and fractions stay put) for the
+    current context, which the cells of a thread pool inherit; other threads
+    keep their own scale, and the table itself is never written."""
     if not (scale > 0.0 and math.isfinite(scale)):
         raise ValueError("tolerance scale must be positive finite")
-    saved = dict(THRESHOLDS)
+    token = _TOL_SCALE.set(scale)
     try:
-        for key in THRESHOLDS:
-            if key.endswith("_tol"):
-                THRESHOLDS[key] = saved[key] * scale
         yield
     finally:
-        THRESHOLDS.clear()
-        THRESHOLDS.update(saved)
+        _TOL_SCALE.reset(token)
 
 
 @dataclass(frozen=True)
@@ -158,10 +180,13 @@ def _report(name: str, params: dict, records, verdict: bool | str,
 
 
 def _map_cells(fn, cells, threads: Optional[int]):
-    """Apply fn over cells, optionally on a thread pool; order preserved."""
+    """Apply fn over cells, optionally on a thread pool; order preserved.
+    Each pooled cell runs in a copy of the caller's context, so it reads the
+    caller's tolerance scale."""
     if threads is not None and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, cells))
+            jobs = [(contextvars.copy_context(), c) for c in cells]
+            return list(pool.map(lambda job: job[0].run(fn, job[1]), jobs))
     return [fn(c) for c in cells]
 
 
@@ -515,7 +540,7 @@ def run_inverse_entries(alpha, n: int = 512, n_samples: int = 200,
         params["note"] = "kernel undefined at alpha = 0 (constant symbol)"
         return _report("inverse_entries", params, (), "skip", t0)
     spec = InverseKernelSpec(a, n)
-    dense = scipy.linalg.inv(scipy.linalg.toeplitz(autocov_seq(spec.hurst, n).gammas))
+    dense = np.linalg.inv(toeplitz_matrix(autocov_seq(spec.hurst, n).gammas))
     rng = replicate_rng(master_seed, n)
     lo, hi = THRESHOLDS["inverse_ratio_lo"], THRESHOLDS["inverse_ratio_hi"]
     records = []

@@ -25,10 +25,8 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.optimize
-from scipy.special import logsumexp
 
-from .symbols import (DEFAULT_TRUNCATION, _hurst_value, _ratio_triple,
+from .symbols import (DEFAULT_TRUNCATION, _hurst_value, _ratio_value,
                       autocov_seq, f_ratio_derivatives)
 # lattice_sum_regular and norming_constant are not called here;
 # perfbench/tracing.py wraps these names
@@ -53,6 +51,14 @@ _MIN_NODES = 64
 # cost ceiling of the exact grid: an estimate evaluates about 250-330 nodes
 # and each costs one O(n^2) Durbin pass, so longer samples are refused
 MAX_POSTERIOR_N = 1 << 16
+
+
+def _logsumexp(values: np.ndarray) -> float:
+    """log(sum(exp(values))), shifted by the maximum so nothing overflows."""
+    top = float(np.max(values))
+    if not math.isfinite(top):
+        return top
+    return top + float(np.log(np.sum(np.exp(values - top))))
 
 
 def _trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
@@ -105,7 +111,7 @@ class PosteriorGrid:
         nodes = np.asarray(nodes, dtype=float)
         logd = np.asarray(log_density, dtype=float)
         w = _trapezoid_weights(nodes)
-        log_norm = float(logsumexp(logd + np.log(w)))
+        log_norm = _logsumexp(logd + np.log(w))
         return cls(nodes, logd, log_norm, w)
 
     def density(self) -> np.ndarray:
@@ -437,11 +443,41 @@ def _ratio_extrema(h: float, eps: float, scan_points: int):
     """Grid extrema of alpha -> F(alpha) over (h - 1/2 + eps, 1), each value
     from the same fixed-rule ratio integral as ``f_ratio_derivatives``."""
     lo, hi = _scan_domain(h, eps)
-    vals = np.array([_ratio_triple(a, h, DEFAULT_TRUNCATION).value
+    vals = np.array([_ratio_value(a, h, DEFAULT_TRUNCATION)
                      for a in np.linspace(lo, hi, scan_points)])
     if not np.all(np.isfinite(vals)):
         raise ArithmeticError("ratio scan produced non-finite values")
     return float(vals.min()), float(vals.max())
+
+
+_ALPHA_XTOL = 1e-13
+_ALPHA_MAXITER = 100
+
+
+def _newton_root(f, slope, lo: float, hi: float, start: float) -> float:
+    """Root of a decreasing f with f(lo) > 0 > f(hi): Newton steps on
+    ``slope``, a bisection whenever a step would leave the shrinking bracket,
+    until a Newton step or the bracket is below ``_ALPHA_XTOL``."""
+    a = start if lo < start < hi else 0.5 * (lo + hi)
+    for _ in range(_ALPHA_MAXITER):
+        fa = f(a)
+        if fa == 0.0:
+            return a
+        if fa > 0.0:
+            lo = a
+        else:
+            hi = a
+        da = slope(a)
+        step = a - fa / da if da < 0.0 else math.nan
+        if abs(step - a) <= _ALPHA_XTOL:
+            # a last step may round onto the bracket end it came from
+            return min(max(step, lo), hi)
+        if not (lo < step < hi):
+            step = 0.5 * (lo + hi)
+        if hi - lo <= _ALPHA_XTOL:
+            return step
+        a = step
+    raise RuntimeError(f"root of kappa' not found in {_ALPHA_MAXITER} steps")
 
 
 def solve_alpha_n(n: int, h_hat, eps: float = EPS_MARGIN, ratio_fn=None,
@@ -450,8 +486,9 @@ def solve_alpha_n(n: int, h_hat, eps: float = EPS_MARGIN, ratio_fn=None,
 
     The bracket [h - (log 2 + log M)/log n, h + (log 2 - log m)/log n] comes
     from the extrema m, M of the limit ratio F over (h - 1/2 + eps, 1); the
-    root is then pinned by Brent's method.  If the bracket shows no sign
-    change it is widened once before giving up.
+    root is then pinned by Newton steps on kappa'' from h, safeguarded by
+    bisection inside the bracket.  If the bracket shows no sign change it is
+    widened once before giving up.
     """
     if n < 8:
         raise ValueError("asymptotic summary needs n >= 8")
@@ -467,11 +504,19 @@ def solve_alpha_n(n: int, h_hat, eps: float = EPS_MARGIN, ratio_fn=None,
     if not (0.0 < m_f <= big_m) or not math.isfinite(big_m):
         raise ArithmeticError("ratio extrema must be finite and positive")
 
+    # kappa' and kappa'' at one alpha share one ratio triple
+    @lru_cache(maxsize=1)
+    def triple(a, hv):
+        return _ratio_triplet(a, hv, ratio_fn)
+
     def clip(a):
         return min(max(a, dom_lo), dom_hi)
 
     def kp(a):
-        return kappa_prime(a, n, h, eps, ratio_fn)
+        return kappa_prime(a, n, h, eps, triple)
+
+    def kpp(a):
+        return kappa_second(a, n, h, eps, triple)
 
     widen = 1.0
     for attempt in range(2):
@@ -482,8 +527,8 @@ def solve_alpha_n(n: int, h_hat, eps: float = EPS_MARGIN, ratio_fn=None,
         widen = 2.0
     else:
         raise RuntimeError("no sign change of kappa' inside the widened bracket")
-    alpha_n = float(scipy.optimize.brentq(kp, lo, hi, xtol=1e-13, rtol=1e-14))
-    c_n = -kappa_second(alpha_n, n, h, eps, ratio_fn) / (2.0 * n * ln_n ** 2)
+    alpha_n = _newton_root(kp, kpp, lo, hi, h)
+    c_n = -kpp(alpha_n) / (2.0 * n * ln_n ** 2)
     predicted_sd = 1.0 / (math.sqrt(c_n * n) * ln_n)
     m_const = math.log(2.0) + math.log(max(big_m, 1.0 / m_f))
     return AsymptoticSummary(alpha_n, c_n, predicted_sd, (lo, hi),

@@ -43,7 +43,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import polygamma
 
 from ._quadrature import adaptive_simpson, log_power_rule
 
@@ -292,12 +291,41 @@ def norming_constant(h) -> float:
     return math.sin(math.pi * hv) * math.gamma(2.0 * hv + 1.0)
 
 
+# Recurrence up to x >= 12, then the asymptotic series, whose first omitted
+# Bernoulli term is below 1e-17 there.
+_POLYGAMMA_SHIFT = 12.0
+
+
+def _digamma(x: float) -> float:
+    """psi(x) for x > 0."""
+    acc = 0.0
+    while x < _POLYGAMMA_SHIFT:
+        acc -= 1.0 / x
+        x += 1.0
+    r = 1.0 / (x * x)
+    series = r * (1 / 12 - r * (1 / 120 - r * (1 / 252 - r * (1 / 240 - r * (
+        1 / 132 - r * (691 / 32760 - r / 12))))))
+    return acc + math.log(x) - 0.5 / x - series
+
+
+def _trigamma(x: float) -> float:
+    """psi'(x) for x > 0."""
+    acc = 0.0
+    while x < _POLYGAMMA_SHIFT:
+        acc += 1.0 / (x * x)
+        x += 1.0
+    r = 1.0 / (x * x)
+    series = r * (1 / 6 - r * (1 / 30 - r * (1 / 42 - r * (1 / 30 - r * (
+        5 / 66 - r * (691 / 2730 - r * 7 / 6))))))
+    return acc + (1.0 + 0.5 / x + series) / x
+
+
 def _log_norming_deriv(h: float, order: int) -> float:
     # d/dh log C_h for the closed form sin(pi h) * Gamma(2h + 1)
     if order == 1:
-        return math.pi / math.tan(math.pi * h) + 2.0 * float(polygamma(0, 2.0 * h + 1.0))
+        return math.pi / math.tan(math.pi * h) + 2.0 * _digamma(2.0 * h + 1.0)
     return (-math.pi ** 2 / math.sin(math.pi * h) ** 2
-            + 4.0 * float(polygamma(1, 2.0 * h + 1.0)))
+            + 4.0 * _trigamma(2.0 * h + 1.0))
 
 
 def sinai_density(h, lam, trunc: SinaiTruncation = DEFAULT_TRUNCATION):
@@ -362,29 +390,43 @@ class FRatioDerivatives(NamedTuple):
     d2: float
 
 
-def _ratio_triple(ha: float, hb: float, trunc: SinaiTruncation) -> FRatioDerivatives:
-    # F = fint g_hb / g_ha and its first two derivatives in ha, on the fixed
-    # rule in x = -log t.  The ratio is
+def _ratio_weights(ha: float, hb: float, trunc: SinaiTruncation) -> tuple:
+    # (x, t, t**sa, T_a, ratio, scale), shared by the value-only F and the
+    # triple.  The ratio g_hb / g_ha on the fixed rule in x = -log t is
     #   (C_hb / C_ha) * t**(sa - sb) * (1 + T_b) / (1 + T_a),  T_x = t**s_x S_reg,
-    # and t**(sa - sb) is the rule's t**(c - 1).  With u = d/dalpha log g_alpha
-    # the derivatives are -fint (g/g) u and fint (g/g) (u**2 - u').  For the
-    # k = 0 separated lattice sum S = t**(-sa) * (1 + T_a):
-    #   dS/dh / S  = -2 (log t + t**sa * L1) / (1 + T_a)
-    #   d2S/dh2 /S =  4 (log**2 t + t**sa * L2) / (1 + T_a)
-    # with L_w the log-weighted regular sums; log t is -x.
+    # and t**(sa - sb) is the rule's t**(c - 1); F = scale * sum(ratio).
     sa, sb = 2.0 * ha + 1.0, 2.0 * hb + 1.0
     x, w = log_power_rule(1.0 + sa - sb)
     t = np.exp(-x)
     pa, pb = t ** sa, t ** sb
     t0 = pa * lattice_sum_regular(t, sa, trunc, 0)
+    ratio = w * (1.0 + pb * lattice_sum_regular(t, sb, trunc, 0)) / (1.0 + t0)
+    scale = norming_constant(hb) / norming_constant(ha) / math.pi
+    return x, t, pa, t0, ratio, scale
+
+
+def _ratio_value(ha: float, hb: float, trunc: SinaiTruncation) -> float:
+    # F = fint g_hb / g_ha alone: the same number as _ratio_triple(...).value
+    *_, ratio, scale = _ratio_weights(ha, hb, trunc)
+    return scale * float(ratio.sum())
+
+
+def _ratio_triple(ha: float, hb: float, trunc: SinaiTruncation) -> FRatioDerivatives:
+    # F = fint g_hb / g_ha and its first two derivatives in ha.  With
+    # u = d/dalpha log g_alpha the derivatives are -fint (g/g) u and
+    # fint (g/g) (u**2 - u').  For the k = 0 separated lattice sum
+    # S = t**(-sa) * (1 + T_a):
+    #   dS/dh / S  = -2 (log t + t**sa * L1) / (1 + T_a)
+    #   d2S/dh2 /S =  4 (log**2 t + t**sa * L2) / (1 + T_a)
+    # with L_w the log-weighted regular sums; log t is -x.
+    x, t, pa, t0, ratio, scale = _ratio_weights(ha, hb, trunc)
+    sa = 2.0 * ha + 1.0
     l1 = pa * lattice_sum_regular(t, sa, trunc, 1)
     l2 = pa * lattice_sum_regular(t, sa, trunc, 2)
-    ratio = w * (1.0 + pb * lattice_sum_regular(t, sb, trunc, 0)) / (1.0 + t0)
     ds = 2.0 * (x - l1) / (1.0 + t0)
     d2s = 4.0 * (x * x + l2) / (1.0 + t0)
     u = _log_norming_deriv(ha, 1) + ds
     du = _log_norming_deriv(ha, 2) + d2s - ds * ds
-    scale = norming_constant(hb) / norming_constant(ha) / math.pi
     return FRatioDerivatives(scale * float(ratio.sum()),
                              -scale * float(ratio @ u),
                              scale * float(ratio @ (u * u - du)))
@@ -406,7 +448,7 @@ def f_ratio_integral(alpha, beta,
         raise ValueError("ratio integral diverges: need alpha - beta > -1/2")
     if a == b:
         return 1.0
-    return _ratio_triple(a + 0.5, b + 0.5, trunc).value
+    return _ratio_value(a + 0.5, b + 0.5, trunc)
 
 
 def f_ratio_derivatives(alpha, h_hat,

@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import _levinson
 from .symbols import (AutocovSeq, SinaiTruncation, DEFAULT_TRUNCATION,
@@ -27,7 +26,7 @@ from .symbols import (AutocovSeq, SinaiTruncation, DEFAULT_TRUNCATION,
 __all__ = [
     "ToeplitzSystem", "NotPositiveDefiniteError", "build_system", "quad_form",
     "whittle_quad_form", "inverse_entry", "InverseKernelSpec",
-    "inverse_kernel_prediction", "logdet_and_quad",
+    "inverse_kernel_prediction", "logdet_and_quad", "toeplitz_matrix",
 ]
 
 
@@ -67,12 +66,23 @@ class ToeplitzSystem:
         if y.shape != (self.n,):
             raise ValueError(f"right-hand side must have length {self.n}")
         if self.used_dense:
+            import scipy.linalg
             return scipy.linalg.cho_solve(self._chol, y)
         return _levinson.semencul_solve(self.predictor, self.pred_var[-1], y)
 
 
+def toeplitz_matrix(gammas) -> np.ndarray:
+    """The dense symmetric Toeplitz matrix with first row ``gammas``."""
+    g = np.asarray(gammas, dtype=float)
+    i = np.arange(g.size)
+    return g[np.abs(i[:, None] - i)]
+
+
 def _dense_factor(gammas: np.ndarray, failed_order: int):
-    dense = scipy.linalg.toeplitz(gammas)
+    # scipy.linalg is imported only here and in ToeplitzSystem.solve: the
+    # fallback is the one user of its Cholesky solve
+    import scipy.linalg
+    dense = toeplitz_matrix(gammas)
     try:
         chol = scipy.linalg.cho_factor(dense, lower=True)
     except np.linalg.LinAlgError as exc:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from hurstbayes.fgn import (EmbeddingError, FgnPath, embedding_eigenvalues,
+from hurstbayes.fgn import (EmbeddingError, _cholesky_factor, FgnPath, embedding_eigenvalues,
                             read_path_csv, replicate_rng, rescale, sample_fgn,
                             sample_fgn_cholesky, write_path_csv)
 from hurstbayes.symbols import autocov
@@ -105,3 +105,13 @@ def test_csv_parse_errors_carry_line_numbers():
         read_path_csv(io.StringIO(good + "1.0\n"))
     with pytest.raises(ValueError, match="empty"):
         read_path_csv(io.StringIO(""))
+
+
+@pytest.mark.parametrize("h", [0.1, 0.5, 0.9])
+def test_cholesky_factor_matches_scipy(h):
+    import scipy.linalg
+    n = 200
+    ref = scipy.linalg.cholesky(scipy.linalg.toeplitz(autocov(h, np.arange(n))),
+                                lower=True)
+    got = _cholesky_factor(h, n)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))

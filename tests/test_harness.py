@@ -61,6 +61,48 @@ def test_scaled_thresholds_scales_and_restores():
     assert THRESHOLDS == before
 
 
+def test_scaled_thresholds_are_per_thread():
+    # verifications at different scales run side by side, more threads than
+    # cores and a short switch interval: each, and each pooled cell it
+    # starts, reads its own tolerances, and the table is never written
+    import sys
+    import threading
+    base = dict(THRESHOLDS)
+    scales = (0.5, 2.0, 3.0, 5.0)
+    barrier = threading.Barrier(len(scales), timeout=30)
+    seen = {}
+
+    def verify(scale):
+        with scaled_thresholds(scale):
+            barrier.wait()
+            direct = [THRESHOLDS["slln_rel_tol"] for _ in range(200)]
+            pooled = _map_cells(lambda _: THRESHOLDS["fact_identity_tol"],
+                                range(8), threads=2)
+            barrier.wait()
+            seen[scale] = (set(direct), set(pooled),
+                           THRESHOLDS["slln_pass_fraction"])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=verify, args=(s,)) for s in scales]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for scale in scales:
+        assert seen[scale] == ({scale * base["slln_rel_tol"]},
+                               {scale * base["fact_identity_tol"]},
+                               base["slln_pass_fraction"])
+    assert dict(THRESHOLDS) == base
+    assert harness._BASE_THRESHOLDS == base
+    with pytest.raises(TypeError):
+        THRESHOLDS["slln_rel_tol"] = 1.0
+
+
 def test_map_cells_preserves_order():
     assert _map_cells(lambda x: x * x, [3, 1, 2], None) == [9, 1, 4]
     assert _map_cells(lambda x: x * x, [3, 1, 2], 2) == [9, 1, 4]

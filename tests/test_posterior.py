@@ -21,6 +21,22 @@ from hurstbayes.symbols import autocov_seq
 TWO_PI = 2.0 * math.pi
 
 
+def test_logsumexp_matches_scipy():
+    import scipy.special
+    rng = np.random.default_rng(11)
+    cases = [rng.standard_normal(50), rng.standard_normal(50) * 30.0 + 1e3,
+             rng.standard_normal(50) - 1e3,
+             np.array([-np.inf, 0.5, -np.inf, 1e3, 1e3 - 1.0]),
+             np.array([-np.inf, -np.inf]), np.array([2.0])]
+    for v in cases:
+        ref = float(scipy.special.logsumexp(v))
+        got = posterior._logsumexp(v)
+        if math.isinf(ref):
+            assert got == ref
+        else:
+            assert got == pytest.approx(ref, rel=1e-15, abs=1e-15)
+
+
 def _gaussian_grid(mu=0.55, sd=0.03, lo=0.3, hi=0.8, count=1001):
     nodes = np.linspace(lo, hi, count)
     logd = -0.5 * ((nodes - mu) / sd) ** 2
@@ -333,3 +349,29 @@ def test_normal_approx_cdf_shape():
     ts = summary.alpha_n + sd * np.linspace(-2.0, 2.0, 9)
     vals = [normal_approx_cdf(t, summary, 4096) for t in ts]
     assert np.all(np.diff(vals) > 0.0)
+
+
+@pytest.mark.parametrize("n", [64, 1024, 4096, 10 ** 6])
+@pytest.mark.parametrize("h", [0.1, 0.5, 0.7, 0.95, 0.999])
+def test_newton_root_matches_brent(n, h):
+    import scipy.optimize
+    summary = solve_alpha_n(n, h)
+    lo, hi = summary.bracket
+    ref = scipy.optimize.brentq(lambda a: kappa_prime(a, n, h), lo, hi,
+                                xtol=1e-13, rtol=1e-14)
+    assert abs(summary.alpha_n - ref) <= 1e-12
+
+
+def test_newton_root_safeguards():
+    # Newton from far out on arctan overshoots the bracket, and a slope of
+    # the wrong sign is ignored: both fall back to bisection
+    def f(a):
+        return -math.atan(a - 0.3)
+
+    def slope(a):
+        return -1.0 / (1.0 + (a - 0.3) ** 2)
+
+    for d in (slope, lambda a: 1.0):
+        assert posterior._newton_root(f, d, -10.0, 10.0, 5.0) == pytest.approx(
+            0.3, abs=1e-13)
+

@@ -192,3 +192,19 @@ def test_f_ratio_derivatives_match_finite_differences():
         assert res.d1 == pytest.approx((up - down) / (2 * eps), rel=2e-5)
         rich = (4.0 * second_diff(alpha, 1e-3) - second_diff(alpha, 2e-3)) / 3.0
         assert res.d2 == pytest.approx(rich, rel=1e-6)
+
+
+@pytest.mark.parametrize("x", np.concatenate([np.linspace(1.0, 3.0, 41),
+                                              np.logspace(-3.0, 4.0, 36)]))
+def test_digamma_trigamma_match_scipy(x):
+    import scipy.special
+    for order, fn in ((0, symbols._digamma), (1, symbols._trigamma)):
+        ref = float(scipy.special.polygamma(order, x))
+        assert abs(fn(float(x)) - ref) <= 1e-14 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("a, h", [(0.3, 0.7), (0.7, 0.7), (0.95, 0.3),
+                                  (0.25, 0.5), (0.999, 0.95), (0.5, 0.1)])
+def test_ratio_value_is_the_triple_value(a, h):
+    trunc = symbols.DEFAULT_TRUNCATION
+    assert symbols._ratio_value(a, h, trunc) == symbols._ratio_triple(a, h, trunc).value

@@ -11,7 +11,7 @@ from hurstbayes.symbols import autocov_seq
 from hurstbayes.toeplitz import (InverseKernelSpec, NotPositiveDefiniteError,
                                  build_system, inverse_entry,
                                  inverse_kernel_prediction, logdet_and_quad,
-                                 quad_form, whittle_quad_form)
+                                 quad_form, toeplitz_matrix, whittle_quad_form)
 
 
 @pytest.mark.parametrize("h", [0.1, 0.3, 0.5, 0.7, 0.9])
@@ -204,3 +204,9 @@ def test_kernel_envelope_tracks_dense_inverse(alpha):
         ratio = abs(inv[i - 1, j - 1]) / inverse_kernel_prediction(spec, i, j)
         inside += 0.1 <= ratio <= 10.0
     assert inside >= 0.95 * trials
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+def test_toeplitz_matrix_is_scipy_toeplitz(n):
+    gam = autocov_seq(0.7, n).gammas
+    assert np.array_equal(toeplitz_matrix(gam), scipy.linalg.toeplitz(gam))
