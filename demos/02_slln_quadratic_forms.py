@@ -8,10 +8,10 @@ alongside: there the statistic just grows.
 Run: python3 demos/02_slln_quadratic_forms.py
 """
 import numpy as np
-import scipy.linalg
 
 from hurstbayes import (autocov_seq, build_system, f_ratio_integral, quad_form,
                         replicate_rng)
+from hurstbayes.toeplitz import toeplitz_matrix
 
 ALPHA, BETA = 0.2, -0.1
 limit = f_ratio_integral(ALPHA, BETA)
@@ -19,8 +19,7 @@ print(f"convergent pair (alpha, beta) = ({ALPHA}, {BETA}); "
       f"limit F = {limit:.6f}")
 print(f"{'n':>6} {'statistic':>12} {'rel gap':>10}")
 for n in (256, 1024, 4096):
-    factor = scipy.linalg.cholesky(
-        scipy.linalg.toeplitz(autocov_seq(BETA + 0.5, n).gammas), lower=True)
+    factor = np.linalg.cholesky(toeplitz_matrix(autocov_seq(BETA + 0.5, n).gammas))
     system = build_system(autocov_seq(ALPHA + 0.5, n))
     xi = factor @ replicate_rng(7, n).standard_normal(n)
     stat = quad_form(system, xi) / n
@@ -31,8 +30,7 @@ print(f"\ndivergent pair (alpha, beta) = ({ALPHA}, {BETA}); the same "
       "statistic now grows without bound")
 print(f"{'n':>6} {'statistic':>12}")
 for n in (256, 1024, 4096):
-    factor = scipy.linalg.cholesky(
-        scipy.linalg.toeplitz(autocov_seq(BETA + 0.5, n).gammas), lower=True)
+    factor = np.linalg.cholesky(toeplitz_matrix(autocov_seq(BETA + 0.5, n).gammas))
     system = build_system(autocov_seq(ALPHA + 0.5, n))
     xi = factor @ replicate_rng(7, n).standard_normal(n)
     print(f"{n:>6} {quad_form(system, xi) / n:>12.3f}")

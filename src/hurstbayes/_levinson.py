@@ -19,6 +19,20 @@ import math
 import numpy as np
 
 _BREAKDOWN = 1.0 - 1e-12
+# OpenBLAS runs a dot product on several threads above about 10^4 entries,
+# which makes a long numpy Durbin pass many times slower, worst when another
+# process holds the other CPUs; the kernel sums its dots over chunks no
+# longer than this, so one pass stays on one thread
+DOT_CHUNK = 8192
+_dot = np.dot
+
+
+def _chunked_dot(a, b):
+    # the sum of chunk dots; orders up to DOT_CHUNK take one _dot directly
+    acc = 0.0
+    for i in range(0, a.size, DOT_CHUNK):
+        acc += _dot(a[i:i + DOT_CHUNK], b[i:i + DOT_CHUNK])
+    return acc
 
 
 def _durbin_py(gam):
@@ -34,7 +48,11 @@ def _durbin_py(gam):
     s = sig[0]
     for m in range(1, n):
         seg = ar[n - m + 1:]
-        k = (gam[m] - np.dot(seg, gam[1:m])) / s
+        if m <= DOT_CHUNK:
+            dot = _dot(seg, gam[1:m])
+        else:
+            dot = _chunked_dot(seg, gam[1:m])
+        k = (gam[m] - dot) / s
         if not math.isfinite(k) or abs(k) >= _BREAKDOWN:
             return refl, sig, ar[:0:-1], m
         seg -= k * seg[::-1]

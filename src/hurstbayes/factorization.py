@@ -18,9 +18,10 @@ fed to a DST-III, gives its conjugate; q = exp(log psi^2 / 2) (cos, sin) of
 half that conjugate; and a DCT-II of Re q with a DST-II of Im q gives the
 real coefficients, C_k + S_k at k >= 0 and the discarded negative-frequency
 content C_k - S_k.  On the other half of the grid q(-t) = conj q(t).
-Those transforms come from ``scipy.fft``, and the Gamma-function constants
-from ``scipy.special``; both are imported inside the functions that call
-them, so importing the package loads neither.
+Those transforms are built here on numpy's real FFT (Makhoul's reordering
+for the DCT-II and its inverse for the DCT-III; each DST is a DCT of the
+sign-alternated or reversed input), and the Gamma-function constants come
+from ``math``, so the module needs numpy alone.
 
 The smooth remainder depends on |t| only, so each check evaluates its
 lattice sums once, on those positive points.  One outer root r is built from
@@ -34,6 +35,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -124,18 +126,44 @@ def w_hat_seq(alpha, k_max: int) -> np.ndarray:
     return np.concatenate(([1.0], np.cumprod((k - 1.0 - av) / k)))
 
 
+# w_hat switches from Gamma values to Stirling's series at this k
+_STIRLING_K = 30
+
+
+def _stirling_series(z: float) -> float:
+    # log Gamma(z) - ((z - 1/2) log z - z + log(2 pi)/2), z >= 29.5; the next
+    # term, 1/(1188 z^9), is below 1e-16
+    z2 = 1.0 / (z * z)
+    return (1.0 / 12.0 - z2 * (1.0 / 360.0 - z2 * (1.0 / 1260.0 - z2 / 1680.0))) / z
+
+
+def _log_gamma_ratio_rest(k: int, av: float) -> float:
+    # log Gamma(k - av) - log Gamma(k + 1) + (1 + av) log k: the Stirling
+    # difference with log(k - av) and log(k + 1) split as log k + log1p
+    return ((k - av - 0.5) * math.log1p(-av / k) - (k + 0.5) * math.log1p(1.0 / k)
+            + 1.0 + av + _stirling_series(k - av) - _stirling_series(k + 1.0))
+
+
 def w_hat(alpha, k: int) -> float:
     """Single coefficient (-1)^k binom(alpha, k) of (1-z)^alpha, in closed
-    form: Gamma(k - alpha) / (Gamma(-alpha) k!) = rgamma(-alpha) /
-    poch(k - alpha, 1 + alpha), which is 0 for k >= 1 at alpha = 0."""
-    import scipy.special
+    form: Gamma(k - alpha) / (Gamma(-alpha) k!), which is 0 for k >= 1 at
+    alpha = 0.
+
+    Below ``_STIRLING_K`` the Gamma values are taken directly; above it the
+    ratio Gamma(k - alpha) / k! comes from Stirling's series, written so that
+    its O(1) parts cancel before the large log k term is added (a difference
+    of two lgamma values near 1e6 would lose about 1e-10 at k = 1e5)."""
     av = _symbol_value(alpha)
     k = int(k)
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k == 0:
         return 1.0
-    return float(scipy.special.rgamma(-av) / scipy.special.poch(k - av, 1.0 + av))
+    if av == 0.0:
+        return 0.0
+    if k < _STIRLING_K:
+        return math.gamma(k - av) / (math.gamma(-av) * math.gamma(k + 1.0))
+    return math.exp(_log_gamma_ratio_rest(k, av)) * float(k) ** (-1.0 - av) / math.gamma(-av)
 
 
 def hilbert_transform(samples: np.ndarray) -> np.ndarray:
@@ -171,8 +199,9 @@ def singular_log_conjugate(alpha, t: np.ndarray, k_terms: int) -> np.ndarray:
 
 
 def _half_sinc(t: np.ndarray) -> np.ndarray:
-    # sin(t/2)/(t/2), strictly positive on [-pi, pi]
-    return np.sinc(t / (2.0 * math.pi))
+    # sin(t/2)/(t/2) at nonzero t, strictly positive on [-pi, pi]
+    half = 0.5 * t
+    return np.sin(half) / half
 
 
 def smooth_part(alpha, t, trunc: SinaiTruncation = DEFAULT_TRUNCATION) -> np.ndarray:
@@ -211,11 +240,19 @@ def split_symbol(alpha, grid_size: int,
     return -2.0 * av, np.concatenate((half[::-1], half))
 
 
+@lru_cache(maxsize=4)
+def _positive_midpoints(log2_m: int) -> np.ndarray:
+    # the m/2 positive midpoints pi(i+1/2)/(m/2), read-only since shared
+    m = 1 << log2_m
+    t = torus_grid(log2_m)[m // 2:].copy()
+    t.flags.writeable = False
+    return t
+
+
 def _smooth_half(av: float, log2_m: int, trunc: SinaiTruncation) -> np.ndarray:
     # smooth_part depends on |t| only: its samples on the m/2 positive
     # midpoints determine it on the whole (symmetric) grid
-    m = 1 << log2_m
-    return smooth_part(av, torus_grid(log2_m)[m // 2:], trunc)
+    return smooth_part(av, _positive_midpoints(log2_m), trunc)
 
 
 def _outer_root(av: float, log2_m: int, trunc: SinaiTruncation):
@@ -223,6 +260,72 @@ def _outer_root(av: float, log2_m: int, trunc: SinaiTruncation):
     root r of their reciprocal psi^2 = 1/smooth; one lattice pass."""
     smooth = _smooth_half(av, log2_m, trunc)
     return smooth, _even_outer_root(1.0 / smooth, _ANTI_ANALYTIC_TOL)
+
+
+@lru_cache(maxsize=8)
+def _dct_twiddles(n: int):
+    # e^{-i pi k / 2n}, k = 0..n/2 (the rfft bins Makhoul's DCT-II reads),
+    # and its conjugate for the inverse; read-only since shared
+    tw = np.exp(-0.5j * math.pi / n * np.arange(n // 2 + 1))
+    pair = (tw, tw.conj())
+    for a in pair:
+        a.flags.writeable = False
+    return pair
+
+
+def _dct2(x: np.ndarray) -> np.ndarray:
+    """Unnormalized DCT-II of even length n, 2 sum_i x_i cos(pi k(2i+1)/2n),
+    from one length-n real FFT of the even-then-reversed-odd reordering.
+
+    With z_k = e^{-i pi k/2n} V_k (V the FFT of the reordering), the result
+    is 2 Re z_k at k <= n/2 and -2 Im z_{n-k} above."""
+    n = x.size
+    h = n // 2
+    z = np.fft.rfft(np.concatenate((x[::2], x[::-2])))
+    z *= _dct_twiddles(n)[0]
+    out = np.empty(n)
+    np.multiply(z.real, 2.0, out=out[:h + 1])
+    np.multiply(z.imag[h - 1:0:-1], -2.0, out=out[h + 1:])
+    return out
+
+
+def _dst2(x: np.ndarray) -> np.ndarray:
+    """Unnormalized DST-II, 2 sum_i x_i sin(pi (k+1)(2i+1)/2n): the DCT-II of
+    (-1)^i x_i, reversed."""
+    flipped = x.copy()
+    flipped[1::2] *= -1.0
+    return _dct2(flipped)[::-1]
+
+
+def _dct3(x: np.ndarray, n: int) -> np.ndarray:
+    """Unnormalized DCT-III of x zero-padded to even length n,
+    x_0 + 2 sum_{j>=1} x_j cos(pi j(2k+1)/2n): the inverse of Makhoul's
+    reordering, one length-n inverse real FFT."""
+    h = n // 2
+    c = np.zeros(n + 1)
+    c[:x.size] = x
+    # (c_k - i c_{n-k}) e^{i pi k/2n} at k = 0..n/2, with c_n = 0
+    spec = np.empty(h + 1, dtype=complex)
+    spec.real = c[:h + 1]
+    np.negative(c[n:h - 1:-1], out=spec.imag)
+    spec *= _dct_twiddles(n)[1]
+    v = np.fft.irfft(spec, n)
+    out = np.empty(n)
+    out[::2] = v[:h]
+    out[1::2] = v[:h - 1:-1]
+    out *= n
+    return out
+
+
+def _dst3(x: np.ndarray, n: int) -> np.ndarray:
+    """Unnormalized DST-III of x zero-padded to even length n,
+    (-1)^k x_{n-1} + 2 sum_{j<n-1} x_j sin(pi (j+1)(2k+1)/2n): (-1)^k times
+    the DCT-III of the reversed padded input."""
+    padded = np.zeros(n)
+    padded[:x.size] = x
+    out = _dct3(padded[::-1], n)
+    out[1::2] *= -1.0
+    return out
 
 
 def _half_grid_conjugate(x: np.ndarray) -> np.ndarray:
@@ -233,35 +336,29 @@ def _half_grid_conjugate(x: np.ndarray) -> np.ndarray:
     of frequency k; shifted one place it feeds the DST-III sine series
     sum_{k=1}^{N-1} (...) sin(k t_i).  The Nyquist term is zero, as in
     hilbert_transform."""
-    import scipy.fft
     n = x.size
-    c = scipy.fft.dct(x, 2)
-    c[:-1] = c[1:]
-    c[-1] = 0.0
-    return scipy.fft.dst(c, 3) / (2 * n)
+    return _dst3(_dct2(x)[1:], n) / (2 * n)
 
 
 def _half_grid_values(coeffs: np.ndarray, n: int):
     """(Re, Im) of sum_k coeffs[k] e^{ikt}, real coeffs with k < n, on the n
     positive midpoints t_i = pi(i+1/2)/n: a DCT-III and a DST-III."""
-    import scipy.fft
-    re = 0.5 * (scipy.fft.dct(coeffs, 3, n=n) + coeffs[0])
-    im = 0.5 * scipy.fft.dst(coeffs[1:], 3, n=n)
+    re = 0.5 * (_dct3(coeffs, n) + coeffs[0])
+    im = 0.5 * _dst3(coeffs[1:], n)
     return re, im
 
 
 def _even_outer_root(f_half: np.ndarray, anti_analytic_tol: float) -> FourierCoeffs:
     # f_half samples an even positive function on the n = m/2 positive
     # midpoints; q(-t) = conj q(t), so the coefficients are real
-    import scipy.fft
     n = f_half.size
     log_f = np.log(f_half)
     half_conj = 0.5 * _half_grid_conjugate(log_f)
     modulus = np.exp(0.5 * log_f)
     # 2 sum_i (Re q cos(k t_i) + Im q sin(k t_i)), k = 0..n; C_n = 0 and
     # S_0 = 0 on the midpoints
-    c = np.append(scipy.fft.dct(modulus * np.cos(half_conj), 2), 0.0)
-    s = np.insert(scipy.fft.dst(modulus * np.sin(half_conj), 2), 0, 0.0)
+    c = np.append(_dct2(modulus * np.cos(half_conj)), 0.0)
+    s = np.insert(_dst2(modulus * np.sin(half_conj)), 0, 0.0)
     positive = (c + s) / (2 * n)
     negative = (c[1:n] - s[1:n]) / (2 * n)
     scale = max(np.max(np.abs(positive)), np.max(np.abs(negative)))
@@ -311,14 +408,14 @@ def whitening_coeffs(alpha, log2_m: int = DEFAULT_LOG2_GRID,
     return w, r, q
 
 
-def _whiten(av: float, r: FourierCoeffs):
-    # q_hat = w_hat * r_hat over 0..k_max
-    import scipy.fft
-    k_max = r.k_max
+def _whiten(av: float, r: FourierCoeffs, k_max: Optional[int] = None):
+    # q_hat = w_hat * r_hat over 0..k_max (default: every stored r_hat);
+    # q_hat[k] reads w_hat and r_hat at indices <= k only
+    k_max = r.k_max if k_max is None else k_max
     w = w_hat_seq(av, k_max)
     # zero-padded to the full linear-convolution length, so nothing wraps
-    size = scipy.fft.next_fast_len(2 * k_max + 1, real=True)
-    q = scipy.fft.irfft(scipy.fft.rfft(w, size) * scipy.fft.rfft(r.values, size), size)
+    size = 1 << (2 * k_max).bit_length()
+    q = np.fft.irfft(np.fft.rfft(w, size) * np.fft.rfft(r.values[:k_max + 1], size), size)
     return w, q[:k_max + 1]
 
 
@@ -355,8 +452,9 @@ def _log_log_slope(values: np.ndarray, k_lo: int, k_hi: int):
     k, mag = k[keep], mag[keep]
     if k.size < 10:
         raise ValueError("too few usable coefficients in the fit window")
-    slope = np.polyfit(np.log(k), np.log(mag), 1)[0]
-    return float(slope)
+    x = np.log(k)
+    x -= x.mean()
+    return float(np.dot(x, np.log(mag)) / np.dot(x, x))
 
 
 def r_coefficient_decay(alpha, k_max: Optional[int] = None,
@@ -426,7 +524,8 @@ def q_coefficient_check(alpha, k_max: int = 10_000,
     if k_max > m // 4:
         raise ValueError("k_max must not exceed a quarter of the grid")
     smooth, r = _outer_root(av, log2_m, trunc)
-    w, q = _whiten(av, r)
+    # the slope fit reads q_hat up to k_max only
+    w, q = _whiten(av, r, k_max)
     c_alpha = r.at_zero()
     if not math.isfinite(c_alpha) or c_alpha == 0.0:
         raise ArithmeticError("outer-root limit at t=0 must be finite nonzero")
@@ -463,11 +562,10 @@ def w_asymptotics(alpha, k: int = 100_000) -> WAsymptoticsReport:
     """Measure the constant in w_hat(k) ~ const * k^{-1-alpha} and report it
     next to 1/Gamma(-alpha) and 1/Gamma(-(1+alpha)); the winner is determined
     empirically, neither is assumed."""
-    import scipy.special
     av = _symbol_value(alpha)
     if av == 0.0:
         raise ValueError("asymptotic constant is degenerate at alpha = 0")
     measured = w_hat(av, k) * float(k) ** (1.0 + av)
-    classical = 1.0 / scipy.special.gamma(-av)
-    alternative = 1.0 / scipy.special.gamma(-(1.0 + av))
+    classical = 1.0 / math.gamma(-av)
+    alternative = 1.0 / math.gamma(-(1.0 + av))
     return WAsymptoticsReport(av, int(k), measured, classical, alternative)

@@ -7,7 +7,8 @@ determinant) and the last forward predictor.  That predictor fixes T^{-1}
 through the Gohberg-Semencul formula, so once the matrix is factored a
 quadratic form <y, T^{-1} y> costs two FFT convolutions and a solve four,
 O(n log n) each, without materialising the matrix.  A dense
-Cholesky fallback engages if a reflection coefficient reaches magnitude
+Cholesky fallback (``numpy.linalg.cholesky``, then two ``numpy.linalg.solve``
+calls per solve) engages if a reflection coefficient reaches magnitude
 1 - 1e-12; for the fractional Gaussian autocovariances this never happens in
 the supported range, but the escape hatch keeps near-degenerate inputs honest.
 """
@@ -66,8 +67,8 @@ class ToeplitzSystem:
         if y.shape != (self.n,):
             raise ValueError(f"right-hand side must have length {self.n}")
         if self.used_dense:
-            import scipy.linalg
-            return scipy.linalg.cho_solve(self._chol, y)
+            # L L^T x = y by two solves with the dense Cholesky factor L
+            return np.linalg.solve(self._chol.T, np.linalg.solve(self._chol, y))
         return _levinson.semencul_solve(self.predictor, self.pred_var[-1], y)
 
 
@@ -79,15 +80,12 @@ def toeplitz_matrix(gammas) -> np.ndarray:
 
 
 def _dense_factor(gammas: np.ndarray, failed_order: int):
-    # scipy.linalg is imported only here and in ToeplitzSystem.solve: the
-    # fallback is the one user of its Cholesky solve
-    import scipy.linalg
-    dense = toeplitz_matrix(gammas)
+    # the fallback's lower Cholesky factor, from numpy's LAPACK potrf
     try:
-        chol = scipy.linalg.cho_factor(dense, lower=True)
+        chol = np.linalg.cholesky(toeplitz_matrix(gammas))
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(failed_order) from exc
-    diag = np.diag(chol[0])
+    diag = np.diag(chol)
     pred_var = diag ** 2
     logdet = 2.0 * float(np.sum(np.log(diag)))
     return chol, pred_var, logdet

@@ -4,6 +4,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.special
 
 import oracles
@@ -50,7 +51,8 @@ def test_w_hat_matches_binomial():
 
 @pytest.mark.parametrize("alpha", [0.2, -0.2, 0.3, -0.3, 0.45, -0.45])
 def test_w_hat_closed_form_matches_mpmath_binomial(alpha):
-    for k in (0, 1, 2, 7, 100, 9_999, 100_000):
+    # k = 29, 30, 31 straddle the switch from Gamma values to Stirling's series
+    for k in (0, 1, 2, 7, 29, 30, 31, 100, 1000, 9_999, 100_000):
         ref = (-1) ** k * mp.binomial(mp.mpf(alpha), k)
         assert w_hat(alpha, k) == pytest.approx(float(ref), rel=1e-10, abs=0.0), k
 
@@ -194,6 +196,23 @@ def test_half_grid_conjugate_matches_hilbert_transform(alpha):
     full = hilbert_transform(x)
     got = factorization._half_grid_conjugate(x[m // 2:])
     assert np.max(np.abs(got - full[m // 2:])) <= 1e-13 * np.max(np.abs(x))
+
+
+@pytest.mark.parametrize("n", [1024, 1 << 15])
+def test_real_transforms_match_scipy(n):
+    # the numpy real-FFT cosine and sine transforms against scipy.fft's
+    # unnormalized types II and III, the type III also zero-padded to n
+    x = np.random.default_rng(n).standard_normal(n)
+    pairs = [(factorization._dct2(x), scipy.fft.dct(x, 2)),
+             (factorization._dst2(x), scipy.fft.dst(x, 2)),
+             (factorization._dct3(x, n), scipy.fft.dct(x, 3)),
+             (factorization._dst3(x, n), scipy.fft.dst(x, 3))]
+    for size in (1, 300, n // 2 + 1, n - 1):
+        pairs += [(factorization._dct3(x[:size], n), scipy.fft.dct(x[:size], 3, n=n)),
+                  (factorization._dst3(x[:size], n), scipy.fft.dst(x[:size], 3, n=n))]
+    for got, ref in pairs:
+        assert got.shape == (n,)
+        assert np.max(np.abs(got - ref)) <= 2e-15 * np.max(np.abs(ref))
 
 
 def test_fourier_coeffs_sample_matches_direct_sum():

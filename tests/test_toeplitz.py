@@ -134,6 +134,53 @@ def test_not_positive_definite_rejected():
             build_system(bad)
 
 
+@pytest.mark.parametrize("gam", [
+    [1.0, 1.0 - 5e-13],
+    # cos(0.7 k) alone has rank 2; the 1e-13 ridge keeps the 4x4 positive
+    # definite while the recursion breaks down at order 2
+    [1.0 + 1e-13, math.cos(0.7), math.cos(1.4), math.cos(2.1)],
+])
+def test_dense_fallback_matches_dense_oracle(gam):
+    gam = np.array(gam)
+    with pytest.warns(RuntimeWarning, match="near breakdown") as record:
+        system = build_system(gam)
+    assert len(record) == 1
+    assert system.used_dense and np.all(np.isnan(system.reflection))
+    y = np.linspace(1.0, -0.5, gam.size)
+    ld_ref, quad_ref = oracles.dense_logdet_quad(gam, y)
+    assert system.logdet == pytest.approx(ld_ref, abs=1e-10)
+    assert float(np.sum(np.log(system.pred_var))) == pytest.approx(ld_ref, abs=1e-10)
+    x_ref = oracles.dense_inverse(gam) @ y
+    np.testing.assert_allclose(system.solve(y), x_ref, rtol=1e-8,
+                               atol=1e-8 * np.max(np.abs(x_ref)))
+    assert quad_form(system, y) == pytest.approx(quad_ref, rel=1e-8)
+
+
+def test_numpy_durbin_dots_stay_within_one_chunk(monkeypatch):
+    # OpenBLAS threads a dot product above about 10^4 entries; the numpy
+    # kernel sums its dots over chunks of at most DOT_CHUNK entries instead
+    sizes = []
+
+    def recording_dot(a, b):
+        sizes.append(a.size)
+        return np.dot(a, b)
+
+    monkeypatch.setattr(_levinson, "HAVE_JIT", False)
+    monkeypatch.setattr(_levinson, "_dot", recording_dot)
+    n = 20_000
+    gam = autocov_seq(0.7, n).gammas
+    refl, sig, status, _ = _levinson.durbin(gam)
+    assert status == 0 and np.all(np.abs(refl) < 1.0)
+    assert max(sizes) == _levinson.DOT_CHUNK
+    assert len(sizes) > n - 1  # orders past the chunk took several dots
+    # orders below the chunk size never split a dot, so a shorter pass
+    # reproduces the leading variances bit for bit
+    short = _levinson.durbin(gam[:_levinson.DOT_CHUNK])
+    assert np.array_equal(short[1], sig[:_levinson.DOT_CHUNK])
+    a, b = replicate_rng(13, 2).standard_normal((2, n))
+    assert _levinson._chunked_dot(a, b) == pytest.approx(float(np.dot(a, b)), rel=1e-12)
+
+
 def test_quad_form_zero_only_at_zero():
     system = build_system(autocov_seq(0.4, 16))
     assert quad_form(system, np.zeros(16)) == 0.0
