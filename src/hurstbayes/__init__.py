@@ -4,9 +4,8 @@ supporting asymptotics (moment identities, determinant growth, Wiener-Hopf
 factorisation, inverse-entry envelopes, posterior concentration)."""
 
 from .symbols import (
-    HurstParam, SymbolParam, SinaiTruncation, AutocovSeq, DEFAULT_TRUNCATION,
-    sinai_density, autocov, autocov_seq, norming_constant,
-    f_ratio_integral, f_ratio_derivatives,
+    HurstParam, SymbolParam, AutocovSeq, sinai_density, autocov, autocov_seq,
+    norming_constant, f_ratio_integral, f_ratio_derivatives,
 )
 from .toeplitz import (
     NotPositiveDefiniteError, ToeplitzSystem, build_system, quad_form,
@@ -30,8 +29,8 @@ from .factorization import (
 )
 from .posterior import (
     PosteriorGrid, AsymptoticSummary, log_posterior, posterior_grid,
-    map_estimate, posterior_moments, credible_interval, whittle_posterior,
-    kappa_value, kappa_prime, kappa_second, solve_alpha_n, normal_approx_cdf,
+    map_estimate, posterior_moments, credible_interval, kappa_value,
+    kappa_prime, kappa_second, solve_alpha_n, normal_approx_cdf,
 )
 from .harness import (
     THRESHOLDS, ExperimentRecord, ExperimentReport, run_slln,

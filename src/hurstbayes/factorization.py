@@ -9,7 +9,13 @@ function on the torus.
 
 All grid work in this module uses the midpoint grid t_j = -pi + (j+1/2)*2pi/m
 (never sampling t = 0, where the symbol is singular); m is a power of two,
-default 2^16, and coefficients beyond m/4 are discarded as an aliasing guard.
+and coefficients beyond m/4 are discarded as an aliasing guard.  The four
+alpha-to-report functions (``whitening_coeffs``,
+``factorization_identity_error``, ``r_coefficient_decay`` and
+``q_coefficient_check``) all work on the one grid m = 2^``DEFAULT_LOG2_GRID``
+= 2^16; only ``torus_grid``, ``split_symbol`` and ``FourierCoeffs.sample``
+take a grid size.  An outer root whose discarded negative-frequency share
+exceeds ``_ANTI_ANALYTIC_TOL`` = 1e-8 warns.
 
 Every symbol factored here is even, so the outer root is built from the
 N = m/2 positive midpoints t_i = pi(i+1/2)/N alone, with real cosine and
@@ -40,8 +46,7 @@ from typing import Optional
 
 import numpy as np
 
-from .symbols import (DEFAULT_TRUNCATION, SinaiTruncation, _symbol_value,
-                      lattice_sum_regular, norming_constant)
+from .symbols import _symbol_value, lattice_sum_regular, norming_constant
 # not called here; perfbench/tracing.py wraps this name of the module
 from .symbols import sinai_density  # noqa: F401
 
@@ -204,7 +209,7 @@ def _half_sinc(t: np.ndarray) -> np.ndarray:
     return np.sin(half) / half
 
 
-def smooth_part(alpha, t, trunc: SinaiTruncation = DEFAULT_TRUNCATION) -> np.ndarray:
+def smooth_part(alpha, t) -> np.ndarray:
     """Samples of psi_alpha^{-2} = g_alpha * |1-e^{it}|^{2*alpha}: the strictly
     positive smooth remainder once the singular factor is peeled off.
 
@@ -221,13 +226,12 @@ def smooth_part(alpha, t, trunc: SinaiTruncation = DEFAULT_TRUNCATION) -> np.nda
     out = np.full(t.shape, c)
     nz = t != 0.0
     tn = t[nz]
-    lattice = lattice_sum_regular(np.abs(tn), s, trunc)
+    lattice = lattice_sum_regular(np.abs(tn), s)
     out[nz] = c * _half_sinc(tn) ** s * (1.0 + np.abs(tn) ** s * lattice)
     return out
 
 
-def split_symbol(alpha, grid_size: int,
-                 trunc: SinaiTruncation = DEFAULT_TRUNCATION):
+def split_symbol(alpha, grid_size: int):
     """Split g_alpha into its pure power singularity and smooth remainder.
 
     Returns (singular_exponent, smooth_samples) with
@@ -236,7 +240,7 @@ def split_symbol(alpha, grid_size: int,
     """
     av = _symbol_value(alpha)
     _check_grid_size(grid_size)
-    half = _smooth_half(av, int(math.log2(grid_size)), trunc)
+    half = _smooth_half(av, int(math.log2(grid_size)))
     return -2.0 * av, np.concatenate((half[::-1], half))
 
 
@@ -249,17 +253,18 @@ def _positive_midpoints(log2_m: int) -> np.ndarray:
     return t
 
 
-def _smooth_half(av: float, log2_m: int, trunc: SinaiTruncation) -> np.ndarray:
+def _smooth_half(av: float, log2_m: int) -> np.ndarray:
     # smooth_part depends on |t| only: its samples on the m/2 positive
     # midpoints determine it on the whole (symmetric) grid
-    return smooth_part(av, _positive_midpoints(log2_m), trunc)
+    return smooth_part(av, _positive_midpoints(log2_m))
 
 
-def _outer_root(av: float, log2_m: int, trunc: SinaiTruncation):
-    """Smooth-remainder samples on the m/2 positive midpoints and the outer
-    root r of their reciprocal psi^2 = 1/smooth; one lattice pass."""
-    smooth = _smooth_half(av, log2_m, trunc)
-    return smooth, _even_outer_root(1.0 / smooth, _ANTI_ANALYTIC_TOL)
+def _outer_root(av: float):
+    """Smooth-remainder samples on the m/2 positive midpoints of the default
+    grid and the outer root r of their reciprocal psi^2 = 1/smooth; one
+    lattice pass."""
+    smooth = _smooth_half(av, DEFAULT_LOG2_GRID)
+    return smooth, _even_outer_root(1.0 / smooth)
 
 
 @lru_cache(maxsize=8)
@@ -348,7 +353,7 @@ def _half_grid_values(coeffs: np.ndarray, n: int):
     return re, im
 
 
-def _even_outer_root(f_half: np.ndarray, anti_analytic_tol: float) -> FourierCoeffs:
+def _even_outer_root(f_half: np.ndarray) -> FourierCoeffs:
     # f_half samples an even positive function on the n = m/2 positive
     # midpoints; q(-t) = conj q(t), so the coefficients are real
     n = f_half.size
@@ -363,7 +368,7 @@ def _even_outer_root(f_half: np.ndarray, anti_analytic_tol: float) -> FourierCoe
     negative = (c[1:n] - s[1:n]) / (2 * n)
     scale = max(np.max(np.abs(positive)), np.max(np.abs(negative)))
     residual = float(np.max(np.abs(negative)) / scale)
-    if residual > anti_analytic_tol:
+    if residual > _ANTI_ANALYTIC_TOL:
         warnings.warn(
             f"negative-frequency content {residual:.2e} above tolerance; "
             "input may be insufficiently smooth for the requested accuracy",
@@ -371,8 +376,7 @@ def _even_outer_root(f_half: np.ndarray, anti_analytic_tol: float) -> FourierCoe
     return FourierCoeffs(positive[:n // 2 + 1], residual)
 
 
-def analytic_sqrt(f_samples: np.ndarray,
-                  anti_analytic_tol: float = _ANTI_ANALYTIC_TOL) -> FourierCoeffs:
+def analytic_sqrt(f_samples: np.ndarray) -> FourierCoeffs:
     """One-sided square root of an even positive function on the midpoint
     grid.
 
@@ -382,7 +386,7 @@ def analytic_sqrt(f_samples: np.ndarray,
     samples at positive t are used, through the cosine/sine construction in
     the module docstring.  Coefficients beyond m/4 are discarded; the
     relative mass found at negative frequencies is recorded and a warning is
-    raised if it exceeds ``anti_analytic_tol`` (non-smooth input).
+    raised if it exceeds ``_ANTI_ANALYTIC_TOL`` (non-smooth input).
     """
     f = np.asarray(f_samples, dtype=float)
     m = f.size
@@ -391,11 +395,10 @@ def analytic_sqrt(f_samples: np.ndarray,
         raise ValueError("samples must be finite and strictly positive")
     if np.max(np.abs(f - f[::-1])) > 1e-12 * np.max(f):
         raise ValueError("samples must be even: f(-t) = f(t) on the midpoint grid")
-    return _even_outer_root(f[m // 2:], anti_analytic_tol)
+    return _even_outer_root(f[m // 2:])
 
 
-def whitening_coeffs(alpha, log2_m: int = DEFAULT_LOG2_GRID,
-                     trunc: SinaiTruncation = DEFAULT_TRUNCATION):
+def whitening_coeffs(alpha):
     """Assemble the one-sided root of 1/g_alpha: q_alpha = w_alpha * r_alpha.
 
     Returns (w, r, q): binomial coefficients of (1-z)^alpha, the outer-root
@@ -403,7 +406,7 @@ def whitening_coeffs(alpha, log2_m: int = DEFAULT_LOG2_GRID,
     indexed 0..m/4.  The coefficients are real, since the symbol is even.
     """
     av = _symbol_value(alpha)
-    r = _outer_root(av, log2_m, trunc)[1]
+    r = _outer_root(av)[1]
     w, q = _whiten(av, r)
     return w, r, q
 
@@ -419,16 +422,14 @@ def _whiten(av: float, r: FourierCoeffs, k_max: Optional[int] = None):
     return w, q[:k_max + 1]
 
 
-def factorization_identity_error(alpha, r: FourierCoeffs,
-                                 log2_m: int = DEFAULT_LOG2_GRID,
-                                 trunc: SinaiTruncation = DEFAULT_TRUNCATION) -> float:
+def factorization_identity_error(alpha, r: FourierCoeffs) -> float:
     """Max relative error of |q|^2 * g_alpha = 1 over the midpoint grid,
     with q = w_alpha(t) * r(t) and r from its stored (truncated)
     coefficients.  Since |w_alpha|^2 * g_alpha is the smooth remainder, this
     is max | |r(t)|^2 * smooth(t) - 1 |, taken over the positive midpoints:
     both factors are even."""
     av = _symbol_value(alpha)
-    return _identity_error(r, _smooth_half(av, log2_m, trunc))
+    return _identity_error(r, _smooth_half(av, DEFAULT_LOG2_GRID))
 
 
 def _identity_error(r: FourierCoeffs, smooth_half: np.ndarray) -> float:
@@ -457,9 +458,7 @@ def _log_log_slope(values: np.ndarray, k_lo: int, k_hi: int):
     return float(np.dot(x, np.log(mag)) / np.dot(x, x))
 
 
-def r_coefficient_decay(alpha, k_max: Optional[int] = None,
-                        log2_m: int = DEFAULT_LOG2_GRID,
-                        trunc: SinaiTruncation = DEFAULT_TRUNCATION) -> DecayFit:
+def r_coefficient_decay(alpha, k_max: Optional[int] = None) -> DecayFit:
     """Fitted decay exponent of the outer-root coefficients over a decade;
     the expected rate is -3 - 2*alpha.
 
@@ -467,7 +466,7 @@ def r_coefficient_decay(alpha, k_max: Optional[int] = None,
     window, the window is shrunk (with a warning) until they clear it.
     """
     av = _symbol_value(alpha)
-    return _r_decay_fit(av, _outer_root(av, log2_m, trunc)[1], k_max)
+    return _r_decay_fit(av, _outer_root(av)[1], k_max)
 
 
 def _r_decay_fit(av: float, r: FourierCoeffs, k_max: Optional[int]) -> DecayFit:
@@ -507,9 +506,7 @@ class QCheckReport:
     r_decay: DecayFit
 
 
-def q_coefficient_check(alpha, k_max: int = 10_000,
-                        log2_m: int = DEFAULT_LOG2_GRID,
-                        trunc: SinaiTruncation = DEFAULT_TRUNCATION) -> QCheckReport:
+def q_coefficient_check(alpha, k_max: int = 10_000) -> QCheckReport:
     """Build q_hat = w_hat * r_hat, estimate c_alpha = r(0), and fit the decay
     of the residual q_hat - c_alpha * w_hat over k in [100, k_max].  The grid
     identity and the r-hat decay fit come from the same outer root.
@@ -520,10 +517,9 @@ def q_coefficient_check(alpha, k_max: int = 10_000,
     alpha above about -0.375 (8.0e-7 at -0.37, 1.08e-6 at -0.38).
     """
     av = _symbol_value(alpha)
-    m = 1 << log2_m
-    if k_max > m // 4:
+    if k_max > (1 << DEFAULT_LOG2_GRID) // 4:
         raise ValueError("k_max must not exceed a quarter of the grid")
-    smooth, r = _outer_root(av, log2_m, trunc)
+    smooth, r = _outer_root(av)
     # the slope fit reads q_hat up to k_max only
     w, q = _whiten(av, r, k_max)
     c_alpha = r.at_zero()

@@ -4,8 +4,9 @@ The default sampler embeds the n x n Toeplitz covariance in a circulant of
 size 2m (m a power of two >= n), diagonalizes it with one FFT, and colours
 complex white noise; for this covariance family the embedding eigenvalues are
 nonnegative, so the draw is exact, O(n log n), and cheap enough for the
-Monte Carlo experiments.  A dense Cholesky sampler is kept as an independent
-cross-check and as a fallback should an embedding ever fail.
+Monte Carlo experiments.  A dense Cholesky sampler is kept as the independent
+cross-check of that route; nothing falls back to it, and a failed embedding
+raises ``EmbeddingError``.
 
 Paths carry their spacing: increments are spacing^h times unit-spacing noise,
 so a path over [0, 1] on n points uses spacing 1/n.  ``rescale`` undoes the
@@ -159,8 +160,8 @@ def sample_fgn(h, n: int, *, spacing: Optional[float] = None,
 def sample_fgn_cholesky(h, n: int, *, spacing: Optional[float] = None,
                         rng: Optional[np.random.Generator] = None,
                         seed: Optional[int] = None) -> FgnPath:
-    """Dense O(n^3) sampler; independent of the FFT route, used to cross-check
-    it and as a fallback if an embedding ever fails."""
+    """Dense O(n^3) sampler; independent of the FFT route, the cross-check of
+    it.  ``sample_fgn`` never falls back to it."""
     hv = _hurst_value(h)
     if n < 1:
         raise ValueError("need at least one increment")

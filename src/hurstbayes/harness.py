@@ -44,8 +44,8 @@ from .moments import (MAX_ORDER, QuadFormInstance, psi_composition_representatio
                       trace_powers)
 from .posterior import (GRID_MAX, GRID_MIN, _parabola_vertex, map_estimate,
                         posterior_grid, posterior_moments, solve_alpha_n)
-from .symbols import (SinaiTruncation, _half_sinc_sq, _hurst_value, _symbol_value,
-                      autocov_seq, f_ratio_derivatives, f_ratio_integral,
+from .symbols import (_half_sinc_sq, _hurst_value, _symbol_value, autocov_seq,
+                      f_ratio_derivatives, f_ratio_integral,
                       lattice_sum_regular, norming_constant)
 from .toeplitz import (InverseKernelSpec, build_system,
                        inverse_kernel_prediction, quad_form, toeplitz_matrix)
@@ -280,7 +280,7 @@ def run_slln(alpha, beta, n_list: Sequence[int] = (512, 2048, 8192),
 # ---------------------------------------------------------------------------
 # Toeplitz determinant growth
 
-def szego_constant(h, trunc: Optional[SinaiTruncation] = None) -> float:
+def szego_constant(h) -> float:
     """log G(h) = (2 pi)^{-1} int log f_h.
 
     The log-singular and constant pieces integrate in closed form; the
@@ -288,11 +288,10 @@ def szego_constant(h, trunc: Optional[SinaiTruncation] = None) -> float:
     integrated on the fixed symbol rule in x = -log t with c = 1.
     """
     hv = _hurst_value(h)
-    trunc = trunc if trunc is not None else SinaiTruncation()
     s = 2.0 * hv + 1.0
     x, w = log_power_rule(1.0)
     t = np.exp(-x)
-    smooth_log = np.log(_half_sinc_sq(t) * (1.0 + t ** s * lattice_sum_regular(t, s, trunc)))
+    smooth_log = np.log(_half_sinc_sq(t) * (1.0 + t ** s * lattice_sum_regular(t, s)))
     tail = float(w @ smooth_log) / math.pi
     return math.log(norming_constant(hv)) + (2.0 - s) * (math.log(math.pi) - 1.0) + tail
 

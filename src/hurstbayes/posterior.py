@@ -7,14 +7,16 @@ Hurst value u is
 
 with Q_n the Toeplitz quadratic form; the sample's own scaling enters only
 through Q_n, never through a plug-in estimate of H.  The posterior is
-evaluated exactly on an adaptive grid (coarse scan plus two refinement rounds
-around the mode); a Gaussian large-n approximation with the exact centering
-alpha_n and curvature c_n is provided alongside for comparison.
+evaluated exactly on an adaptive grid: a coarse scan, then ``_REFINE_ROUNDS``
+= 2 rounds of ``_REFINE_NODES`` = 64 nodes spanning +-``_WINDOW_CELLS`` = 8
+cells around the mode.  A Gaussian large-n approximation with the exact
+centering alpha_n and curvature c_n is provided alongside for comparison.
 
 The exponent surrogate kappa(a) = n a log n - (n/2) n^{2(a - h)} F(a) and its
 derivatives drive the asymptotics: alpha_n is the root of kappa', located
-inside an explicit bracket built from the extrema of the limit ratio F over
-(h - 1/2 + eps, 1).
+inside an explicit bracket built from the extrema of the limit ratio F at
+``_SCAN_POINTS`` = 48 points of (h - 1/2 + ``EPS_MARGIN``, 1), with
+``EPS_MARGIN`` = 0.05.
 """
 from __future__ import annotations
 
@@ -26,27 +28,34 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .symbols import (DEFAULT_TRUNCATION, _hurst_value, _ratio_value,
-                      autocov_seq, f_ratio_derivatives)
-# lattice_sum_regular and norming_constant are not called here;
-# perfbench/tracing.py wraps these names
+from .symbols import _hurst_value, _ratio_value, autocov_seq, f_ratio_derivatives
+# lattice_sum_regular, norming_constant, build_system and whittle_quad_form
+# are not called here; perfbench/tracing.py wraps these names
 from .symbols import lattice_sum_regular, norming_constant  # noqa: F401
-from .toeplitz import build_system, logdet_and_quad, whittle_quad_form
+from .toeplitz import build_system, whittle_quad_form  # noqa: F401
+from .toeplitz import logdet_and_quad
 
 __all__ = [
     "PosteriorGrid", "AsymptoticSummary", "log_posterior", "posterior_grid",
     "map_estimate", "posterior_moments", "credible_interval",
-    "whittle_posterior", "kappa_value", "kappa_prime", "kappa_second",
+    "kappa_value", "kappa_prime", "kappa_second",
     "solve_alpha_n", "normal_approx_cdf", "EPS_MARGIN", "MAX_POSTERIOR_N",
 ]
 
 # margin cutting out the neighbourhood of h - 1/2 where the ratio integral
-# blows up; exposed so experiments can tighten it
+# blows up
 EPS_MARGIN = 0.05
+# points of the scan for the extrema of F that bound alpha_n's bracket
+_SCAN_POINTS = 48
 
 GRID_MIN = 1e-3
 GRID_MAX = 1.0 - 1e-3
 _MIN_NODES = 64
+# refinement after the coarse scan: each round evaluates _REFINE_NODES nodes
+# spanning +-_WINDOW_CELLS cells of the last round around its mode
+_REFINE_ROUNDS = 2
+_REFINE_NODES = 64
+_WINDOW_CELLS = 8
 
 # cost ceiling of the exact grid: an estimate evaluates about 250-330 nodes
 # and each costs one O(n^2) Durbin pass, so longer samples are refused
@@ -165,8 +174,8 @@ def _sample_grid(y: np.ndarray, nodes: np.ndarray,
             "floating point; rescale the sample") from None
 
 
-def _log_kernel_nodes(y: np.ndarray, nodes: np.ndarray,
-                      whittle: bool) -> tuple[np.ndarray, np.ndarray]:
+def _log_kernel_nodes(y: np.ndarray,
+                      nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate the log likelihood kernel node by node, dropping failures."""
     n = y.size
     ln_n = math.log(n)
@@ -175,11 +184,7 @@ def _log_kernel_nodes(y: np.ndarray, nodes: np.ndarray,
     for i, u in enumerate(nodes):
         gam = autocov_seq(u, n).gammas
         try:
-            if whittle:
-                q = whittle_quad_form(u, y)
-                logdet = build_system(gam).logdet
-            else:
-                logdet, q = logdet_and_quad(gam, y)
+            logdet, q = logdet_and_quad(gam, y)
             if not (math.isfinite(q) and math.isfinite(logdet)):
                 raise ArithmeticError(f"non-finite quadratic form ({q}) or "
                                       f"log-determinant ({logdet})")
@@ -194,21 +199,28 @@ def _log_kernel_nodes(y: np.ndarray, nodes: np.ndarray,
     return out, ok
 
 
-def log_posterior(y, nodes, prior: Optional[Callable[[float], float]] = None,
-                  whittle: bool = False) -> PosteriorGrid:
+def log_posterior(y, nodes,
+                  prior: Optional[Callable[[float], float]] = None) -> PosteriorGrid:
     """Exact unnormalized log posterior of H on the supplied grid.
 
-    ``prior`` is a density on (0, 1); None means uniform.  Grid nodes must
-    stay inside [1e-3, 1 - 1e-3].  A sample with non-finite values or an
-    overflowing scale is rejected.  Nodes where the Toeplitz factorization
-    fails or gives a non-finite term are dropped with a warning; everything
-    failing is an error.
+    ``prior`` is a density on (0, 1); None means uniform.  ``nodes`` must be
+    a 1-d sequence of at least ``_MIN_NODES`` = 64 distinct values inside
+    [1e-3, 1 - 1e-3], else ``ValueError`` before any Durbin pass.  A sample
+    with non-finite values or an overflowing scale is rejected.  Nodes where
+    the Toeplitz factorization fails or gives a non-finite term are dropped
+    with a warning; everything failing is an error.
     """
     y = _check_sample(y)
-    nodes = np.sort(np.unique(np.asarray(nodes, dtype=float)))
-    if nodes[0] < GRID_MIN or nodes[-1] > GRID_MAX:
+    nodes = np.asarray(nodes, dtype=float)
+    if nodes.ndim != 1:
+        raise ValueError("grid nodes must form a 1-d sequence")
+    nodes = np.unique(nodes)
+    if nodes.size < _MIN_NODES:
+        raise ValueError(f"need at least {_MIN_NODES} distinct grid nodes, "
+                         f"got {nodes.size}")
+    if not (GRID_MIN <= nodes[0] and nodes[-1] <= GRID_MAX):
         raise ValueError(f"grid nodes must lie within [{GRID_MIN}, {GRID_MAX}]")
-    logk, ok = _log_kernel_nodes(y, nodes, whittle)
+    logk, ok = _log_kernel_nodes(y, nodes)
     if not np.any(ok):
         raise RuntimeError("every grid node failed to factorize")
     nodes, logk = nodes[ok], logk[ok]
@@ -216,10 +228,10 @@ def log_posterior(y, nodes, prior: Optional[Callable[[float], float]] = None,
     return _sample_grid(y, nodes, logd)
 
 
-def _refine_window(nodes: np.ndarray, idx: int, cells: int, count: int):
-    lo = nodes[max(idx - cells, 0)]
-    hi = nodes[min(idx + cells, nodes.size - 1)]
-    return np.linspace(lo, hi, count)
+def _refine_window(nodes: np.ndarray, idx: int):
+    lo = nodes[max(idx - _WINDOW_CELLS, 0)]
+    hi = nodes[min(idx + _WINDOW_CELLS, nodes.size - 1)]
+    return np.linspace(lo, hi, _REFINE_NODES)
 
 
 def _divided_differences(x: np.ndarray, f: np.ndarray) -> tuple[float, float]:
@@ -245,14 +257,14 @@ def _mode_spread(nodes: np.ndarray, logd: np.ndarray) -> tuple[float, float]:
 
 def posterior_grid(y, prior: Optional[Callable[[float], float]] = None,
                    grid_min: float = GRID_MIN, grid_max: float = GRID_MAX,
-                   coarse: int = 128, refine_rounds: int = 2,
-                   refine_nodes: int = 64, window_cells: int = 8) -> PosteriorGrid:
-    """Adaptive posterior evaluation: coarse scan, then refinement rounds of
-    ``refine_nodes`` nodes spanning +-``window_cells`` current cells around
-    the mode.  The returned grid merges every evaluated node.  A sample
-    longer than ``MAX_POSTERIOR_N`` is rejected with ``ValueError`` before
-    any Durbin pass.  A sample scaled so badly that its log posterior cannot be normalized is rejected
-    with ``ValueError`` as soon as the coarse scan shows it."""
+                   coarse: int = 128) -> PosteriorGrid:
+    """Adaptive posterior evaluation: a scan of ``coarse`` nodes, then
+    ``_REFINE_ROUNDS`` refinement rounds of ``_REFINE_NODES`` nodes spanning
+    +-``_WINDOW_CELLS`` current cells around the mode.  The returned grid
+    merges every evaluated node.  A sample longer than ``MAX_POSTERIOR_N``
+    is rejected with ``ValueError`` before any Durbin pass.  A sample scaled
+    so badly that its log posterior cannot be normalized is rejected with
+    ``ValueError`` as soon as the coarse scan shows it."""
     if not (GRID_MIN - 1e-12 <= grid_min < grid_max <= GRID_MAX + 1e-12):
         raise ValueError("grid bounds must satisfy 1e-3 <= min < max <= 1-1e-3")
     if coarse < _MIN_NODES:
@@ -264,7 +276,7 @@ def posterior_grid(y, prior: Optional[Callable[[float], float]] = None,
     evaluated: dict[float, float] = {}
 
     def run_round(points: np.ndarray):
-        logk, ok = _log_kernel_nodes(y, points, whittle=False)
+        logk, ok = _log_kernel_nodes(y, points)
         for u, val, good in zip(points, logk, ok):
             if good:
                 evaluated[float(u)] = float(val)
@@ -277,12 +289,10 @@ def posterior_grid(y, prior: Optional[Callable[[float], float]] = None,
         # a badly scaled sample already shows in the coarse round's log
         # densities: reject it here rather than after every refinement
         _sample_grid(y, kept, vals)
-    for _ in range(refine_rounds):
+    for _ in range(_REFINE_ROUNDS):
         if kept.size == 0:
             break
-        current = _refine_window(kept, int(np.argmax(vals)),
-                                 window_cells, refine_nodes)
-        kept, vals = run_round(current)
+        kept, vals = run_round(_refine_window(kept, int(np.argmax(vals))))
     # the mode neighbourhood must end up densely sampled (>= 32 nodes within
     # +-5 sd); at large n the fixed windows can undershoot, so top up
     for _ in range(3):
@@ -291,20 +301,11 @@ def posterior_grid(y, prior: Optional[Callable[[float], float]] = None,
         mode, sd = _mode_spread(nodes, logk)
         if np.sum(np.abs(nodes - mode) <= 5.0 * sd) >= 32 or kept.size == 0:
             break
-        current = _refine_window(kept, int(np.argmax(vals)),
-                                 window_cells, refine_nodes)
-        kept, vals = run_round(current)
+        kept, vals = run_round(_refine_window(kept, int(np.argmax(vals))))
     nodes = np.array(sorted(evaluated))
     logk = np.array([evaluated[u] for u in nodes])
     logd = logk + _log_prior_values(prior, nodes)
     return _sample_grid(y, nodes, logd)
-
-
-def whittle_posterior(y, nodes,
-                      prior: Optional[Callable[[float], float]] = None) -> PosteriorGrid:
-    """Surrogate posterior with <y, T_n(1/f_u) y> in place of the exact
-    quadratic form; the determinant term is kept exact."""
-    return log_posterior(y, nodes, prior, whittle=True)
 
 
 def _parabola_vertex(x: np.ndarray, f: np.ndarray) -> float:
@@ -368,40 +369,37 @@ def _ratio_triplet(alpha_hurst: float, h_hat: float, ratio_fn):
     return f_ratio_derivatives(alpha_hurst - 0.5, h_hat)
 
 
-def _check_alpha_domain(alpha: float, h: float, eps: float):
-    if not (h - 0.5 + eps < alpha < 1.0):
+def _check_alpha_domain(alpha: float, h: float):
+    if not (h - 0.5 + EPS_MARGIN < alpha < 1.0):
         raise ValueError(
-            f"alpha must lie in ({h - 0.5 + eps:.4f}, 1) for this h_hat")
+            f"alpha must lie in ({h - 0.5 + EPS_MARGIN:.4f}, 1) for this h_hat")
 
 
-def kappa_value(alpha: float, n: int, h_hat, eps: float = EPS_MARGIN,
-                ratio_fn=None) -> float:
+def kappa_value(alpha: float, n: int, h_hat, ratio_fn=None) -> float:
     """Exponent surrogate kappa(a) = n a log n - (n/2) n^{2(a-h)} F(a)."""
     h = _hurst_value(h_hat)
-    _check_alpha_domain(alpha, h, eps)
+    _check_alpha_domain(alpha, h)
     ln_n = math.log(n)
     f = _ratio_triplet(alpha, h, ratio_fn).value
     return n * alpha * ln_n - 0.5 * n * math.exp(2.0 * (alpha - h) * ln_n) * f
 
 
-def kappa_prime(alpha: float, n: int, h_hat, eps: float = EPS_MARGIN,
-                ratio_fn=None) -> float:
+def kappa_prime(alpha: float, n: int, h_hat, ratio_fn=None) -> float:
     """d/da of the exponent surrogate:
     n log n (1 - n^{2(a-h)} (F(a) + F'(a)/(2 log n)))."""
     h = _hurst_value(h_hat)
-    _check_alpha_domain(alpha, h, eps)
+    _check_alpha_domain(alpha, h)
     ln_n = math.log(n)
     der = _ratio_triplet(alpha, h, ratio_fn)
     phi = der.value + der.d1 / (2.0 * ln_n)
     return n * ln_n * (1.0 - math.exp(2.0 * (alpha - h) * ln_n) * phi)
 
 
-def kappa_second(alpha: float, n: int, h_hat, eps: float = EPS_MARGIN,
-                 ratio_fn=None) -> float:
+def kappa_second(alpha: float, n: int, h_hat, ratio_fn=None) -> float:
     """Second derivative: -n log^2 n * n^{2(a-h)} *
     (2 F + 2 F'/log n + F''/(2 log^2 n))."""
     h = _hurst_value(h_hat)
-    _check_alpha_domain(alpha, h, eps)
+    _check_alpha_domain(alpha, h)
     ln_n = math.log(n)
     der = _ratio_triplet(alpha, h, ratio_fn)
     psi = 2.0 * der.value + 2.0 * der.d1 / ln_n + der.d2 / (2.0 * ln_n ** 2)
@@ -432,19 +430,19 @@ class AsymptoticSummary:
             raise ValueError("curvature scale must be positive finite")
 
 
-def _scan_domain(h: float, eps: float) -> tuple:
-    # integrability needs alpha > h - 1/2 + eps; the density itself needs
-    # alpha inside (0, 1), so the scan interval is the intersection
-    return max(h - 0.5 + eps + 1e-6, 1e-3), 1.0 - 1e-6
+def _scan_domain(h: float) -> tuple:
+    # integrability needs alpha > h - 1/2 + EPS_MARGIN; the density itself
+    # needs alpha inside (0, 1), so the scan interval is the intersection
+    return max(h - 0.5 + EPS_MARGIN + 1e-6, 1e-3), 1.0 - 1e-6
 
 
 @lru_cache(maxsize=64)
-def _ratio_extrema(h: float, eps: float, scan_points: int):
-    """Grid extrema of alpha -> F(alpha) over (h - 1/2 + eps, 1), each value
-    from the same fixed-rule ratio integral as ``f_ratio_derivatives``."""
-    lo, hi = _scan_domain(h, eps)
-    vals = np.array([_ratio_value(a, h, DEFAULT_TRUNCATION)
-                     for a in np.linspace(lo, hi, scan_points)])
+def _ratio_extrema(h: float):
+    """Grid extrema of alpha -> F(alpha) over (h - 1/2 + EPS_MARGIN, 1), each
+    value from the same fixed-rule ratio integral as ``f_ratio_derivatives``."""
+    lo, hi = _scan_domain(h)
+    vals = np.array([_ratio_value(a, h)
+                     for a in np.linspace(lo, hi, _SCAN_POINTS)])
     if not np.all(np.isfinite(vals)):
         raise ArithmeticError("ratio scan produced non-finite values")
     return float(vals.min()), float(vals.max())
@@ -480,25 +478,24 @@ def _newton_root(f, slope, lo: float, hi: float, start: float) -> float:
     raise RuntimeError(f"root of kappa' not found in {_ALPHA_MAXITER} steps")
 
 
-def solve_alpha_n(n: int, h_hat, eps: float = EPS_MARGIN, ratio_fn=None,
-                  scan_points: int = 48) -> AsymptoticSummary:
+def solve_alpha_n(n: int, h_hat, ratio_fn=None) -> AsymptoticSummary:
     """Locate the unique root alpha_n of kappa' and package the asymptotics.
 
     The bracket [h - (log 2 + log M)/log n, h + (log 2 - log m)/log n] comes
-    from the extrema m, M of the limit ratio F over (h - 1/2 + eps, 1); the
-    root is then pinned by Newton steps on kappa'' from h, safeguarded by
-    bisection inside the bracket.  If the bracket shows no sign change it is
+    from the extrema m, M of the limit ratio F at ``_SCAN_POINTS`` points of
+    (h - 1/2 + EPS_MARGIN, 1); the root is then pinned by Newton steps on
+    kappa'' from h, safeguarded by bisection inside the bracket.  If the bracket shows no sign change it is
     widened once before giving up.
     """
     if n < 8:
         raise ValueError("asymptotic summary needs n >= 8")
     h = _hurst_value(h_hat)
     ln_n = math.log(n)
-    dom_lo, dom_hi = _scan_domain(h, eps)
+    dom_lo, dom_hi = _scan_domain(h)
     if ratio_fn is None:
-        m_f, big_m = _ratio_extrema(h, eps, scan_points)
+        m_f, big_m = _ratio_extrema(h)
     else:
-        grid = np.linspace(dom_lo, dom_hi, scan_points)
+        grid = np.linspace(dom_lo, dom_hi, _SCAN_POINTS)
         vals = np.array([ratio_fn(a, h).value for a in grid])
         m_f, big_m = float(vals.min()), float(vals.max())
     if not (0.0 < m_f <= big_m) or not math.isfinite(big_m):
@@ -513,10 +510,10 @@ def solve_alpha_n(n: int, h_hat, eps: float = EPS_MARGIN, ratio_fn=None,
         return min(max(a, dom_lo), dom_hi)
 
     def kp(a):
-        return kappa_prime(a, n, h, eps, triple)
+        return kappa_prime(a, n, h, triple)
 
     def kpp(a):
-        return kappa_second(a, n, h, eps, triple)
+        return kappa_second(a, n, h, triple)
 
     widen = 1.0
     for attempt in range(2):

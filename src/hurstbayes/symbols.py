@@ -19,14 +19,14 @@ Evaluation separates the k = 0 lattice term from the rest:
 with ``S_reg`` the regular (k != 0) part of the lattice sum.  This form has no
 cancellation or overflow down to denormal ``t``, which matters because the
 symbol integrals probe far below 1e-20.  ``C_h`` is the closed form
-``sin(pi h) * Gamma(2h + 1)``.  ``S_reg`` is defined by the
-direct sum to ``k_max`` with an Euler-Maclaurin tail correction, which keeps
-the slowly converging sums for small ``h`` at full double accuracy.  That sum
-runs only at the 20 Chebyshev nodes of an interpolant in t**2, cached per
-exponent, log weight and truncation; every other t costs one Chebyshev
-evaluation.  S_reg is analytic in t**2 out to its singularity at t = 2 pi, so
-the interpolant converges like 13.9**-k and matches the direct sum within
-3e-15 relative on [-pi, pi].
+``sin(pi h) * Gamma(2h + 1)``.  ``S_reg`` is defined by the direct sum to
+``_K_MAX`` = 256 with a third-order Euler-Maclaurin tail correction, which
+keeps the slowly converging sums for small ``h`` at full double accuracy.
+That one truncation is the package's only lattice policy.  The sum runs only
+at the 20 Chebyshev nodes of an interpolant in t**2, cached per exponent and
+log weight; every other t costs one Chebyshev evaluation.  S_reg is analytic
+in t**2 out to its singularity at t = 2 pi, so the interpolant converges like
+13.9**-k and matches the direct sum within 3e-15 relative on [-pi, pi].
 
 The ratio integral F(alpha) = fint g_beta / g_alpha and its first two
 alpha-derivatives are integrals of t**(c-1) times lattice factors with
@@ -47,13 +47,15 @@ import numpy as np
 from ._quadrature import adaptive_simpson, log_power_rule
 
 __all__ = [
-    "HurstParam", "SymbolParam", "SinaiTruncation", "AutocovSeq",
-    "DEFAULT_TRUNCATION", "sinai_density", "autocov", "autocov_seq",
+    "HurstParam", "SymbolParam", "AutocovSeq",
+    "sinai_density", "autocov", "autocov_seq",
     "norming_constant", "f_ratio_integral", "f_ratio_derivatives",
     "FRatioDerivatives",
 ]
 
 _TWO_PI = 2.0 * math.pi
+# direct lattice terms k = 1.._K_MAX, then the Euler-Maclaurin tail
+_K_MAX = 256
 
 
 @dataclass(frozen=True)
@@ -94,25 +96,6 @@ class SymbolParam:
     @property
     def hurst(self) -> HurstParam:
         return HurstParam(self.alpha + 0.5)
-
-
-@dataclass(frozen=True)
-class SinaiTruncation:
-    """Truncation policy for the lattice sum: direct terms up to ``k_max``,
-    Euler-Maclaurin tail with ``tail_order`` correction terms (1..3)."""
-    k_max: int = 256
-    tail_order: int = 3
-
-    def __post_init__(self):
-        if int(self.k_max) < 16:
-            raise ValueError("k_max below 16 loses the tail-correction accuracy model")
-        if int(self.tail_order) not in (1, 2, 3):
-            raise ValueError("tail_order must be 1, 2 or 3")
-        object.__setattr__(self, "k_max", int(self.k_max))
-        object.__setattr__(self, "tail_order", int(self.tail_order))
-
-
-DEFAULT_TRUNCATION = SinaiTruncation()
 
 
 def _hurst_value(h) -> float:
@@ -158,24 +141,23 @@ def _term_deriv(v, s, w):
     return v ** (-s - 1.0) * lv * (2.0 - s * lv)
 
 
-def _lattice_sum_direct(t, s: float, trunc: SinaiTruncation, log_weight: int = 0):
-    """The regular lattice sum by direct summation to ``k_max`` plus an
-    Euler-Maclaurin tail; the reference that the interpolant is built from."""
+def _lattice_sum_direct(t, s: float, log_weight: int = 0):
+    """The regular lattice sum by direct summation to ``_K_MAX`` plus a
+    third-order Euler-Maclaurin tail; the reference that the interpolant is
+    built from."""
     t = np.asarray(t, dtype=float)
     w = int(log_weight)
-    kk = _TWO_PI * np.arange(1, trunc.k_max + 1, dtype=float)
+    kk = _TWO_PI * np.arange(1, _K_MAX + 1, dtype=float)
     vm = kk - t[..., None]
     vp = kk + t[..., None]
     out = _term(vm, s, w).sum(axis=-1) + _term(vp, s, w).sum(axis=-1)
-    # Euler-Maclaurin tail starting at m0 = k_max + 1:
+    # Euler-Maclaurin tail starting at m0 = _K_MAX + 1:
     #   sum_{m >= m0} phi(m) = int_{m0}^inf phi + phi(m0)/2 - phi'(m0)/12 + ...
-    m0 = _TWO_PI * (trunc.k_max + 1.0)
+    m0 = _TWO_PI * (_K_MAX + 1.0)
     vm, vp = m0 - t, m0 + t
     tail = (_tail_integral(vm, s, w) + _tail_integral(vp, s, w)) / _TWO_PI
-    if trunc.tail_order >= 2:
-        tail = tail + 0.5 * (_term(vm, s, w) + _term(vp, s, w))
-    if trunc.tail_order >= 3:
-        tail = tail - _TWO_PI / 12.0 * (_term_deriv(vm, s, w) + _term_deriv(vp, s, w))
+    tail = tail + 0.5 * (_term(vm, s, w) + _term(vp, s, w))
+    tail = tail - _TWO_PI / 12.0 * (_term_deriv(vm, s, w) + _term_deriv(vp, s, w))
     return out + tail
 
 
@@ -185,34 +167,31 @@ def _lattice_sum_direct(t, s: float, trunc: SinaiTruncation, log_weight: int = 0
 # coefficients in x decay like rho**-k with rho = 7 + 4 sqrt(3) ~ 13.9 (the
 # Bernstein-ellipse bound).  rho**-14 is already 2**-53; five more terms pay
 # for the growth of |t - 2 pi|**-s (s < 4) towards the ellipse.  Measured
-# against the direct sum over 1 < s < 4, w in {0, 1, 2} and every truncation,
-# degree 19 is within 3e-15 relative; higher degrees only interpolate more
-# of the direct sum's own rounding noise (8e-15 at degree 20, 1e-14 at 23).
+# against the direct sum over 1 < s < 4 and w in {0, 1, 2}, degree 19 is
+# within 3e-15 relative; higher degrees only interpolate more of the direct
+# sum's own rounding noise (8e-15 at degree 20, 1e-14 at 23).
 _CHEB_DEGREE = 19
 
 
 @lru_cache(maxsize=1024)
-def _lattice_chebyshev(s: float, log_weight: int, k_max: int, tail_order: int) -> np.ndarray:
+def _lattice_chebyshev(s: float, log_weight: int) -> np.ndarray:
     # Chebyshev coefficients of S_reg in x = 2 t**2 / pi**2 - 1, interpolated
     # from the direct sum at the degree + 1 Chebyshev points
-    trunc = SinaiTruncation(k_max, tail_order)
-
     def direct(x):
-        return _lattice_sum_direct(math.pi * np.sqrt(0.5 * (x + 1.0)), s, trunc, log_weight)
+        return _lattice_sum_direct(math.pi * np.sqrt(0.5 * (x + 1.0)), s, log_weight)
 
     coef = np.polynomial.chebyshev.chebinterpolate(direct, _CHEB_DEGREE)
     coef.flags.writeable = False
     return coef
 
 
-def lattice_sum_regular(t, s: float, trunc: SinaiTruncation = DEFAULT_TRUNCATION,
-                        log_weight: int = 0):
+def lattice_sum_regular(t, s: float, log_weight: int = 0):
     """``sum_{k != 0} |t - 2 pi k|**(-s) * log(|t - 2 pi k|)**log_weight`` for
     t in [-pi, pi], vectorised over ``t``.
 
     Evaluated from a Chebyshev interpolant in t**2 of the direct sum (to
-    ``k_max`` plus an Euler-Maclaurin tail), built once per
-    ``(s, log_weight, trunc)`` and cached; it matches the direct sum to a few
+    ``_K_MAX`` plus an Euler-Maclaurin tail), built once per
+    ``(s, log_weight)`` and cached; it matches the direct sum to a few
     ulps.  Raises ``ValueError`` for non-finite ``t`` or ``|t| > pi``.
     """
     t = np.asarray(t, dtype=float)
@@ -220,15 +199,14 @@ def lattice_sum_regular(t, s: float, trunc: SinaiTruncation = DEFAULT_TRUNCATION
         raise ValueError("lattice sum needs finite t")
     if np.any(np.abs(t) > math.pi * (1.0 + 1e-12)):
         raise ValueError("lattice sum is only defined here for t in [-pi, pi]")
-    coef = _lattice_chebyshev(float(s), int(log_weight), trunc.k_max, trunc.tail_order)
+    coef = _lattice_chebyshev(float(s), int(log_weight))
     return np.polynomial.chebyshev.chebval(2.0 * (t / math.pi) ** 2 - 1.0, coef)
 
 
-def lattice_sum(t, s: float, trunc: SinaiTruncation = DEFAULT_TRUNCATION,
-                log_weight: int = 0):
+def lattice_sum(t, s: float, log_weight: int = 0):
     """Full lattice sum including the k = 0 term (which is singular at t = 0)."""
     t = np.asarray(t, dtype=float)
-    return _term(np.abs(t), s, int(log_weight)) + lattice_sum_regular(t, s, trunc, log_weight)
+    return _term(np.abs(t), s, int(log_weight)) + lattice_sum_regular(t, s, log_weight)
 
 
 def _half_sinc_sq(t):
@@ -236,14 +214,14 @@ def _half_sinc_sq(t):
     return np.sinc(np.asarray(t, dtype=float) / _TWO_PI) ** 2
 
 
-def _density_core(t, s: float, trunc: SinaiTruncation):
+def _density_core(t, s: float):
     """``|e^{it}-1|^2 * lattice_sum(t)`` in the cancellation-free form
     ``|t|**(2-s) * sinc(t/2)**2 * (1 + |t|**s * S_reg(t))``; valid on
     [-pi, pi], with the correct limits at t = 0 for s <= 2."""
     t = np.asarray(t, dtype=float)
     at = np.abs(t)
     with np.errstate(over="ignore"):
-        correction = at ** s * lattice_sum_regular(t, s, trunc)
+        correction = at ** s * lattice_sum_regular(t, s)
     return at ** (2.0 - s) * _half_sinc_sq(t) * (1.0 + correction)
 
 
@@ -251,13 +229,12 @@ def _density_core(t, s: float, trunc: SinaiTruncation):
 # lattice-sum density is the tests' check that the closed form normalizes it,
 # and perfbench/tracing.py reads its cache_info() by name.
 @lru_cache(maxsize=512)
-def _norming_quadrature(h: float, k_max: int, tail_order: int) -> float:
+def _norming_quadrature(h: float) -> float:
     # C_h normalises (1/2pi) int f_h = 1; by symmetry integrate on (0, pi).
     # The integrand behaves like t**(2-s) at 0 (barely integrable as h -> 1),
     # so substitute t = v**p with p large enough that the v-integrand opens
     # like v**2; the lone power of v is assembled directly, which keeps the
     # evaluation finite down to v = 0.
-    trunc = SinaiTruncation(k_max, tail_order)
     s = 2.0 * h + 1.0
     p = max(2, int(math.ceil(3.0 / (3.0 - s))))
     expo = p * (3.0 - s) - 1.0
@@ -269,7 +246,7 @@ def _norming_quadrature(h: float, k_max: int, tail_order: int) -> float:
         vp = v[pos]
         with np.errstate(under="ignore"):
             t = vp ** p
-        correction = t ** s * lattice_sum_regular(t, s, trunc)
+        correction = t ** s * lattice_sum_regular(t, s)
         out[pos] = p * vp ** expo * _half_sinc_sq(t) * (1.0 + correction)
         return out
 
@@ -328,7 +305,7 @@ def _log_norming_deriv(h: float, order: int) -> float:
             + 4.0 * _trigamma(2.0 * h + 1.0))
 
 
-def sinai_density(h, lam, trunc: SinaiTruncation = DEFAULT_TRUNCATION):
+def sinai_density(h, lam):
     """Spectral density f_h(lam) for lam in [-pi, pi].
 
     At lam = 0 the density is 0 for h < 1/2, equals C_h for h = 1/2, and is a
@@ -345,7 +322,7 @@ def sinai_density(h, lam, trunc: SinaiTruncation = DEFAULT_TRUNCATION):
     if hv > 0.5 and np.any(lam_a == 0.0):
         raise ValueError("density has a singular point at 0 for h > 1/2")
     c = norming_constant(hv)
-    vals = c * _density_core(lam_a, 2.0 * hv + 1.0, trunc)
+    vals = c * _density_core(lam_a, 2.0 * hv + 1.0)
     return float(vals[0]) if scalar else vals.reshape(lam_in.shape)
 
 
@@ -390,7 +367,7 @@ class FRatioDerivatives(NamedTuple):
     d2: float
 
 
-def _ratio_weights(ha: float, hb: float, trunc: SinaiTruncation) -> tuple:
+def _ratio_weights(ha: float, hb: float) -> tuple:
     # (x, t, t**sa, T_a, ratio, scale), shared by the value-only F and the
     # triple.  The ratio g_hb / g_ha on the fixed rule in x = -log t is
     #   (C_hb / C_ha) * t**(sa - sb) * (1 + T_b) / (1 + T_a),  T_x = t**s_x S_reg,
@@ -399,19 +376,19 @@ def _ratio_weights(ha: float, hb: float, trunc: SinaiTruncation) -> tuple:
     x, w = log_power_rule(1.0 + sa - sb)
     t = np.exp(-x)
     pa, pb = t ** sa, t ** sb
-    t0 = pa * lattice_sum_regular(t, sa, trunc, 0)
-    ratio = w * (1.0 + pb * lattice_sum_regular(t, sb, trunc, 0)) / (1.0 + t0)
+    t0 = pa * lattice_sum_regular(t, sa, 0)
+    ratio = w * (1.0 + pb * lattice_sum_regular(t, sb, 0)) / (1.0 + t0)
     scale = norming_constant(hb) / norming_constant(ha) / math.pi
     return x, t, pa, t0, ratio, scale
 
 
-def _ratio_value(ha: float, hb: float, trunc: SinaiTruncation) -> float:
+def _ratio_value(ha: float, hb: float) -> float:
     # F = fint g_hb / g_ha alone: the same number as _ratio_triple(...).value
-    *_, ratio, scale = _ratio_weights(ha, hb, trunc)
+    *_, ratio, scale = _ratio_weights(ha, hb)
     return scale * float(ratio.sum())
 
 
-def _ratio_triple(ha: float, hb: float, trunc: SinaiTruncation) -> FRatioDerivatives:
+def _ratio_triple(ha: float, hb: float) -> FRatioDerivatives:
     # F = fint g_hb / g_ha and its first two derivatives in ha.  With
     # u = d/dalpha log g_alpha the derivatives are -fint (g/g) u and
     # fint (g/g) (u**2 - u').  For the k = 0 separated lattice sum
@@ -419,10 +396,10 @@ def _ratio_triple(ha: float, hb: float, trunc: SinaiTruncation) -> FRatioDerivat
     #   dS/dh / S  = -2 (log t + t**sa * L1) / (1 + T_a)
     #   d2S/dh2 /S =  4 (log**2 t + t**sa * L2) / (1 + T_a)
     # with L_w the log-weighted regular sums; log t is -x.
-    x, t, pa, t0, ratio, scale = _ratio_weights(ha, hb, trunc)
+    x, t, pa, t0, ratio, scale = _ratio_weights(ha, hb)
     sa = 2.0 * ha + 1.0
-    l1 = pa * lattice_sum_regular(t, sa, trunc, 1)
-    l2 = pa * lattice_sum_regular(t, sa, trunc, 2)
+    l1 = pa * lattice_sum_regular(t, sa, 1)
+    l2 = pa * lattice_sum_regular(t, sa, 2)
     ds = 2.0 * (x - l1) / (1.0 + t0)
     d2s = 4.0 * (x * x + l2) / (1.0 + t0)
     u = _log_norming_deriv(ha, 1) + ds
@@ -432,8 +409,7 @@ def _ratio_triple(ha: float, hb: float, trunc: SinaiTruncation) -> FRatioDerivat
                              scale * float(ratio @ (u * u - du)))
 
 
-def f_ratio_integral(alpha, beta,
-                     trunc: SinaiTruncation = DEFAULT_TRUNCATION) -> float:
+def f_ratio_integral(alpha, beta) -> float:
     """Normalised torus integral of ``g_beta / g_alpha``.
 
     Finite exactly when ``alpha - beta > -1/2``; equals 1 when the parameters
@@ -448,11 +424,10 @@ def f_ratio_integral(alpha, beta,
         raise ValueError("ratio integral diverges: need alpha - beta > -1/2")
     if a == b:
         return 1.0
-    return _ratio_value(a + 0.5, b + 0.5, trunc)
+    return _ratio_value(a + 0.5, b + 0.5)
 
 
-def f_ratio_derivatives(alpha, h_hat,
-                        trunc: SinaiTruncation = DEFAULT_TRUNCATION) -> FRatioDerivatives:
+def f_ratio_derivatives(alpha, h_hat) -> FRatioDerivatives:
     """Value and first two alpha-derivatives of ``F(alpha) = fint g_bhat / g_alpha``
     with ``bhat = h_hat - 1/2`` held fixed.
 
@@ -467,7 +442,7 @@ def f_ratio_derivatives(alpha, h_hat,
     bh = _hurst_value(h_hat) - 0.5
     if a - bh <= -0.5 + 1e-3:
         raise ValueError("need alpha - (h_hat - 1/2) > -1/2 + 1e-3 for stable derivatives")
-    res = _ratio_triple(a + 0.5, bh + 0.5, trunc)
+    res = _ratio_triple(a + 0.5, bh + 0.5)
     if a == bh:
         return res._replace(value=1.0)
     return res

@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _levinson
-from .symbols import (AutocovSeq, SinaiTruncation, DEFAULT_TRUNCATION,
-                      autocov_seq, sinai_density, _hurst_value)
+from .symbols import AutocovSeq, autocov_seq, sinai_density, _hurst_value
 
 __all__ = [
     "ToeplitzSystem", "NotPositiveDefiniteError", "build_system", "quad_form",
@@ -155,18 +154,16 @@ def _autocorrelate(y: np.ndarray) -> np.ndarray:
     return r
 
 
-def _reciprocal_coeffs(hv: float, n: int, m: int,
-                       trunc: SinaiTruncation = DEFAULT_TRUNCATION) -> np.ndarray:
+def _reciprocal_coeffs(hv: float, n: int, m: int) -> np.ndarray:
     # midpoint grid never samples the origin, where 1/f may vanish or blow up
     step = 2.0 * math.pi / m
     t = -math.pi + (np.arange(m) + 0.5) * step
-    recip = 1.0 / sinai_density(hv, t, trunc)
+    recip = 1.0 / sinai_density(hv, t)
     phase = np.exp(1j * np.arange(n) * (math.pi - 0.5 * step))
     return np.real(phase * np.fft.fft(recip)[:n]) / m
 
 
-def whittle_quad_form(h, y, trunc: SinaiTruncation = DEFAULT_TRUNCATION,
-                      grid_factor: int = 8) -> float:
+def whittle_quad_form(h, y, grid_factor: int = 8) -> float:
     """Quadratic form <y, T_n(1/f_h) y>, the Whittle surrogate for
     <y, T_n(f_h)^{-1} y>.
 
@@ -182,8 +179,8 @@ def whittle_quad_form(h, y, trunc: SinaiTruncation = DEFAULT_TRUNCATION,
     if grid_factor < 8:
         raise ValueError("reciprocal-symbol grid must be at least 8n")
     m = 1 << max(10, int(math.ceil(math.log2(grid_factor * n))))
-    coeff = _reciprocal_coeffs(hv, n, m, trunc)
-    check = _reciprocal_coeffs(hv, n, 2 * m, trunc)
+    coeff = _reciprocal_coeffs(hv, n, m)
+    check = _reciprocal_coeffs(hv, n, 2 * m)
     if np.max(np.abs(coeff - check)) > 1e-5 * abs(coeff[0]):
         warnings.warn("reciprocal-symbol coefficients change under grid doubling; "
                       "grid is underresolved, consider a larger grid_factor",

@@ -17,7 +17,7 @@ from hurstbayes.factorization import (FourierCoeffs, _outer_root, analytic_sqrt,
                                       split_symbol, torus_grid, w_asymptotics,
                                       w_hat, w_hat_seq, whitening_coeffs)
 from hurstbayes.harness import run_factorization_suite
-from hurstbayes.symbols import DEFAULT_TRUNCATION, norming_constant, sinai_density
+from hurstbayes.symbols import norming_constant, sinai_density
 
 # outer-root values at t = 0 pinned from the factorization pipeline itself;
 # these regress both the splitting and the coefficient route
@@ -177,7 +177,7 @@ def test_outer_root_matches_full_grid_reference(alpha):
         f = _moving_average_symbol()
         r = analytic_sqrt(f)
     else:
-        smooth, r = _outer_root(alpha, 16, DEFAULT_TRUNCATION)
+        smooth, r = _outer_root(alpha)
         f = 1.0 / np.concatenate((smooth[::-1], smooth))
     reference, _ = oracles.outer_root_full_grid(f)
     assert r.k_max == reference.size - 1
@@ -305,7 +305,7 @@ def test_suite_evaluates_lattice_once_on_half_grid(alpha, monkeypatch):
 def test_outer_root_samples_are_even_and_match_full_grid(alpha):
     # the outer root reads the smooth part on the 2^15 positive midpoints;
     # split_symbol mirrors the same samples onto the whole grid
-    smooth, r = _outer_root(alpha, 16, DEFAULT_TRUNCATION)
+    smooth, r = _outer_root(alpha)
     assert np.array_equal(smooth, smooth_part(alpha, torus_grid(16)[1 << 15:]))
     assert r.k_max == (1 << 14)
     mirrored = split_symbol(alpha, 1 << 16)[1]

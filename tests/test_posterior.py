@@ -14,8 +14,7 @@ from hurstbayes.posterior import (EPS_MARGIN, AsymptoticSummary, PosteriorGrid,
                                   credible_interval, kappa_prime, kappa_second,
                                   kappa_value, log_posterior, map_estimate,
                                   normal_approx_cdf, posterior_grid,
-                                  posterior_moments, solve_alpha_n,
-                                  whittle_posterior)
+                                  posterior_moments, solve_alpha_n)
 from hurstbayes.symbols import autocov_seq
 
 TWO_PI = 2.0 * math.pi
@@ -66,6 +65,25 @@ def test_log_posterior_input_validation():
         log_posterior(np.zeros(8), np.linspace(0.1, 0.9, 64))
 
 
+@pytest.mark.parametrize("nodes", [
+    [], [0.5], [0.5, 0.5, 0.5], np.linspace(0.1, 0.9, 63),
+    np.r_[np.linspace(0.1, 0.9, 63), 0.5],
+    np.linspace(0.1, 0.9, 64).reshape(8, 8),
+    np.r_[np.linspace(0.1, 0.9, 64), np.nan]],
+    ids=["empty", "single", "repeated", "63", "63-distinct-of-64", "2-d", "nan"])
+def test_log_posterior_rejects_bad_node_lists(nodes, monkeypatch):
+    # fewer than 64 distinct nodes, a node array that is not 1-d, or a node
+    # outside the grid range (NaN included) is a usage error found before
+    # any Durbin pass
+    def no_durbin(*args):
+        raise AssertionError("a Durbin pass ran before the node check")
+
+    monkeypatch.setattr(posterior, "logdet_and_quad", no_durbin)
+    y = sample_fgn(0.6, 16, seed=3).increments
+    with pytest.raises(ValueError, match="grid nodes"):
+        log_posterior(y, nodes)
+
+
 def test_unscorable_samples_rejected():
     # one NaN, or a scale whose |y|^2 overflows, must be a usage error, not
     # a boundary MAP with only a boundary warning
@@ -100,9 +118,9 @@ def test_badly_scaled_sample_rejected_after_coarse_round(monkeypatch):
     real = posterior._log_kernel_nodes
     counted = []
 
-    def counting(y, nodes, whittle):
+    def counting(y, nodes):
         counted.append(np.size(nodes))
-        return real(y, nodes, whittle)
+        return real(y, nodes)
 
     monkeypatch.setattr(posterior, "_log_kernel_nodes", counting)
     with pytest.raises(ValueError, match=r"sample scale .*rescale"):
@@ -244,17 +262,6 @@ def test_posterior_grid_bounds_validation():
         posterior_grid(y, grid_min=0.9, grid_max=0.1)
     with pytest.raises(ValueError):
         posterior_grid(y, coarse=16)
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_whittle_posterior_tracks_exact():
-    # extreme grid nodes may warn about an underresolved reciprocal symbol;
-    # only the mode location matters here
-    y = sample_fgn(0.3, 512, seed=21).increments
-    nodes = np.linspace(0.05, 0.95, 161)
-    exact = log_posterior(y, nodes)
-    surrogate = whittle_posterior(y, nodes)
-    assert abs(map_estimate(surrogate) - map_estimate(exact)) < 0.05
 
 
 # ---------------------------------------------------------------------------

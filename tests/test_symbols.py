@@ -5,8 +5,8 @@ import pytest
 
 import oracles
 from hurstbayes import symbols
-from hurstbayes.symbols import (AutocovSeq, HurstParam, SinaiTruncation,
-                                SymbolParam, autocov, autocov_seq,
+from hurstbayes.symbols import (AutocovSeq, HurstParam, SymbolParam,
+                                autocov, autocov_seq,
                                 f_ratio_derivatives, f_ratio_integral,
                                 lattice_sum, lattice_sum_regular,
                                 norming_constant, sinai_density)
@@ -41,33 +41,24 @@ def test_lattice_sum_includes_origin_term():
     assert full - reg == pytest.approx(t ** (-s), rel=1e-14)
 
 
-def test_lattice_sum_light_truncation_stays_close():
-    # the scan-grade truncation must track the default to near roundoff
-    light = SinaiTruncation(k_max=32, tail_order=3)
-    t = np.linspace(-math.pi, math.pi, 101)
-    a = lattice_sum_regular(t, 2.4)
-    b = lattice_sum_regular(t, 2.4, light)
-    assert np.max(np.abs(a - b)) < 1e-9
-
-
 @pytest.mark.parametrize("s", [1.002, 1.2, 2.0, 2.9, 2.998, 3.99])
 @pytest.mark.parametrize("w", [0, 1, 2])
-@pytest.mark.parametrize("k_max", [32, 256])
+@pytest.mark.parametrize("k_max", [256])
 def test_lattice_interpolant_matches_direct_sum(s, w, k_max):
-    trunc = SinaiTruncation(k_max=k_max, tail_order=3)
+    # the one truncation: direct terms to k_max = 256, third-order tail
+    assert symbols._K_MAX == k_max
     t = np.concatenate(([0.0, 1e-300, math.pi, -math.pi],
                         np.linspace(-math.pi, math.pi, 1001)))
-    mine = lattice_sum_regular(t, s, trunc, w)
-    ref = symbols._lattice_sum_direct(t, s, trunc, w)
+    mine = lattice_sum_regular(t, s, w)
+    ref = symbols._lattice_sum_direct(t, s, w)
     assert np.max(np.abs(mine / ref - 1.0)) <= 1e-13
 
 
 def test_lattice_coefficients_are_cached():
-    trunc = SinaiTruncation(k_max=64, tail_order=2)
     t = np.linspace(0.0, 1.0, 7)
-    first = lattice_sum_regular(t, 2.345, trunc, 1)
+    first = lattice_sum_regular(t, 2.345, 1)
     before = symbols._lattice_chebyshev.cache_info()
-    second = lattice_sum_regular(t, 2.345, trunc, 1)
+    second = lattice_sum_regular(t, 2.345, 1)
     after = symbols._lattice_chebyshev.cache_info()
     assert after.hits == before.hits + 1
     assert after.misses == before.misses
@@ -87,9 +78,8 @@ def test_lattice_sum_rejects_t_outside_torus(t):
 def test_norming_constant_vs_closed_form():
     # the closed form sin(pi h) Gamma(2h+1) must normalize the lattice-sum
     # density the package evaluates, here integrated by adaptive quadrature
-    trunc = symbols.DEFAULT_TRUNCATION
     for h in (0.001, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.995, 0.9995):
-        quad = symbols._norming_quadrature(h, trunc.k_max, trunc.tail_order)
+        quad = symbols._norming_quadrature(h)
         assert norming_constant(h) == pytest.approx(quad, rel=5e-12), h
         ref = float(oracles.norming_oracle(h))
         assert norming_constant(h) == pytest.approx(ref, rel=5e-12), h
@@ -206,5 +196,4 @@ def test_digamma_trigamma_match_scipy(x):
 @pytest.mark.parametrize("a, h", [(0.3, 0.7), (0.7, 0.7), (0.95, 0.3),
                                   (0.25, 0.5), (0.999, 0.95), (0.5, 0.1)])
 def test_ratio_value_is_the_triple_value(a, h):
-    trunc = symbols.DEFAULT_TRUNCATION
-    assert symbols._ratio_value(a, h, trunc) == symbols._ratio_triple(a, h, trunc).value
+    assert symbols._ratio_value(a, h) == symbols._ratio_triple(a, h).value
