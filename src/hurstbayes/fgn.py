@@ -137,6 +137,20 @@ def _resolve_rng(rng, seed):
     return np.random.default_rng(), None
 
 
+def _sample(unit_draw, h, n, spacing, rng, seed) -> FgnPath:
+    # the checks and scaling both samplers share; unit_draw(hv, n, gen)
+    # returns unit-spacing increments
+    hv = _hurst_value(h)
+    if n < 1:
+        raise ValueError("need at least one increment")
+    if spacing is None:
+        spacing = 1.0 / n
+    if spacing <= 0.0:
+        raise ValueError("spacing must be positive")
+    gen, used_seed = _resolve_rng(rng, seed)
+    return FgnPath(spacing ** hv * unit_draw(hv, n, gen), hv, spacing, used_seed)
+
+
 def sample_fgn(h, n: int, *, spacing: Optional[float] = None,
                rng: Optional[np.random.Generator] = None,
                seed: Optional[int] = None) -> FgnPath:
@@ -145,16 +159,7 @@ def sample_fgn(h, n: int, *, spacing: Optional[float] = None,
     ``spacing`` defaults to 1/n (a path over the unit interval); increments
     scale as spacing^h.
     """
-    hv = _hurst_value(h)
-    if n < 1:
-        raise ValueError("need at least one increment")
-    if spacing is None:
-        spacing = 1.0 / n
-    if spacing <= 0.0:
-        raise ValueError("spacing must be positive")
-    gen, used_seed = _resolve_rng(rng, seed)
-    x = _unit_fgn_circulant(hv, n, gen)
-    return FgnPath(spacing ** hv * x, hv, spacing, used_seed)
+    return _sample(_unit_fgn_circulant, h, n, spacing, rng, seed)
 
 
 def sample_fgn_cholesky(h, n: int, *, spacing: Optional[float] = None,
@@ -162,16 +167,7 @@ def sample_fgn_cholesky(h, n: int, *, spacing: Optional[float] = None,
                         seed: Optional[int] = None) -> FgnPath:
     """Dense O(n^3) sampler; independent of the FFT route, the cross-check of
     it.  ``sample_fgn`` never falls back to it."""
-    hv = _hurst_value(h)
-    if n < 1:
-        raise ValueError("need at least one increment")
-    if spacing is None:
-        spacing = 1.0 / n
-    if spacing <= 0.0:
-        raise ValueError("spacing must be positive")
-    gen, used_seed = _resolve_rng(rng, seed)
-    x = _unit_fgn_cholesky(hv, n, gen)
-    return FgnPath(spacing ** hv * x, hv, spacing, used_seed)
+    return _sample(_unit_fgn_cholesky, h, n, spacing, rng, seed)
 
 
 def rescale(path: FgnPath) -> RescaledSample:

@@ -1,6 +1,7 @@
 """Batch verification experiments with machine-readable reports.
 
-Each experiment draws exact Gaussian samples where randomness is needed,
+Each experiment draws exact Gaussian samples where randomness is needed
+(``sample_fgn``'s circulant embedding, the package's one sampler),
 computes the statistic the limit theory pins down (normalized quadratic
 forms, log-determinant growth, posterior concentration, factorization
 residuals, inverse-entry envelopes, moment identities), and packages the
@@ -16,6 +17,13 @@ parameters): every random cell seeds its own generator through
 ``replicate_rng(master_seed, cell_index)``, so neither execution order nor
 thread scheduling can change a number.  ``wall_time`` is the one field
 exempt from reproducibility.
+
+The experiments over a list of sizes (``slln``, ``determinant``,
+``concentration``) share one size check, run before any sample or Durbin
+pass: a non-empty, strictly ascending list with every n at most
+``posterior.MAX_POSTERIOR_N``, the package's one size ceiling.  Every count
+(seeds, trials, exponents, sampled pairs) must be at least one, paths at
+least ten, and a report with no records cannot pass.
 """
 from __future__ import annotations
 
@@ -38,12 +46,13 @@ from ._quadrature import log_power_rule
 # r_coefficient_decay is not called here; perfbench/tracing.py wraps this name
 from .factorization import (q_coefficient_check, r_coefficient_decay,  # noqa: F401
                             w_asymptotics)
-from .fgn import _cholesky_factor, replicate_rng, sample_fgn
+from .fgn import replicate_rng, sample_fgn
 from .moments import (MAX_ORDER, QuadFormInstance, psi_composition_representation,
                       psi_direct, theta_isserlis_oracle, theta_recursion,
                       trace_powers)
-from .posterior import (GRID_MAX, GRID_MIN, _parabola_vertex, map_estimate,
-                        posterior_grid, posterior_moments, solve_alpha_n)
+from .posterior import (GRID_MAX, GRID_MIN, MAX_POSTERIOR_N, _parabola_vertex,
+                        map_estimate, posterior_grid, posterior_moments,
+                        solve_alpha_n)
 from .symbols import (_half_sinc_sq, _hurst_value, _symbol_value, autocov_seq,
                       f_ratio_derivatives, f_ratio_integral,
                       lattice_sum_regular, norming_constant)
@@ -155,6 +164,8 @@ class ExperimentReport:
         if self.verdict not in ("pass", "fail", "skip"):
             raise ValueError(f"unknown verdict {self.verdict!r}")
         object.__setattr__(self, "records", tuple(self.records))
+        if self.verdict == "pass" and not self.records:
+            raise ValueError("a report with no records cannot pass")
 
     def passed(self) -> bool:
         return self.verdict == "pass"
@@ -193,6 +204,16 @@ def _map_cells(fn, cells, threads: Optional[int]):
 INFO = math.inf  # tolerance marker for purely informational records
 
 
+def _checked_sizes(n_list: Sequence[int], least: int = 1, count: int = 1) -> list:
+    # the one size check of the size-list experiments, run before any work
+    sizes = [int(n) for n in n_list]
+    if (len(sizes) < count or sizes[0] < least or sizes[-1] > MAX_POSTERIOR_N
+            or any(x >= y for x, y in zip(sizes, sizes[1:]))):
+        raise ValueError(f"n_list must hold {count} or more strictly ascending "
+                         f"sizes in {least}..{MAX_POSTERIOR_N}")
+    return sizes
+
+
 # ---------------------------------------------------------------------------
 # quadratic-form law of large numbers
 
@@ -209,17 +230,15 @@ def run_slln(alpha, beta, n_list: Sequence[int] = (512, 2048, 8192),
     (each seed must increase from the smallest to the largest n).  Verdict:
     the required fraction of seeds lands within tolerance at the largest n.
 
-    Sampling uses a dense Cholesky factor of the exact covariance, computed
-    once per n and shared across seeds.
+    Each (n, seed) cell draws xi with ``sample_fgn`` at Hurst beta + 1/2
+    from its own stream ``replicate_rng(master_seed, seed * 100_000 + n)``.
     """
     t0 = time.time()
     a, b = _symbol_value(alpha), _symbol_value(beta)
-    n_list = [int(n) for n in n_list]
-    if not n_list or any(x >= y for x, y in zip(n_list, n_list[1:])):
-        raise ValueError("n_list must be non-empty and strictly ascending")
-    if max(n_list) > 8192:
-        raise ValueError("dense sampling is capped at n = 8192")
+    n_list = _checked_sizes(n_list)
     seed_list = list(range(seeds)) if isinstance(seeds, int) else [int(s) for s in seeds]
+    if not seed_list:
+        raise ValueError("need at least one seed")
     divergent = (a - b) <= -0.5
     if divergent and not allow_divergent:
         raise ValueError(
@@ -240,12 +259,11 @@ def run_slln(alpha, beta, n_list: Sequence[int] = (512, 2048, 8192),
     records = []
     stats = {}  # (n, seed) -> statistic
     for n in n_list:
-        factor = _cholesky_factor(b + 0.5, n)
         system = build_system(autocov_seq(a + 0.5, n))
 
-        def cell(seed, n=n, factor=factor, system=system):
+        def cell(seed, n=n, system=system):
             rng = replicate_rng(master_seed, seed * 100_000 + n)
-            xi = factor @ rng.standard_normal(n)
+            xi = sample_fgn(b + 0.5, n, spacing=1.0, rng=rng).increments
             return quad_form(system, xi) / n
 
         for seed, stat in zip(seed_list, _map_cells(cell, seed_list, threads)):
@@ -257,7 +275,6 @@ def run_slln(alpha, beta, n_list: Sequence[int] = (512, 2048, 8192),
                 ok = abs(stat / limit - 1.0) <= rel
                 records.append(ExperimentRecord(n, seed, stat, limit, rel,
                                                 ok, prov))
-        del factor
 
     need = THRESHOLDS["slln_pass_fraction"]
     if divergent:
@@ -311,15 +328,12 @@ def run_determinant(h, n_list: Sequence[int] = (512, 1024, 2048, 4096, 8192)
     should grow like ((1-2h)^2/4) log(1+n) plus a constant.
 
     Per-n records hold s_n against the fitted line (informational); the
-    verdict rides on the fitted slope versus the closed-form exponent.
+    verdict rides on the fitted slope versus the closed-form exponent, so at
+    least two sizes are needed.
     """
     t0 = time.time()
     hv = _hurst_value(h)
-    n_list = [int(n) for n in n_list]
-    if not n_list or any(x >= y for x, y in zip(n_list, n_list[1:])):
-        raise ValueError("n_list must be non-empty and strictly ascending")
-    if max(n_list) > 8192:
-        raise ValueError("n_list is capped at 8192")
+    n_list = _checked_sizes(n_list, count=2)
     params = {"h": hv, "n_list": n_list}
     log_g = szego_constant(hv)
 
@@ -394,7 +408,7 @@ def run_concentration(h_hat, n_list: Sequence[int] = (1024, 4096),
     hv = _hurst_value(h_hat)
     if n_paths < 10:
         raise ValueError("need at least 10 paths for stable averages")
-    n_list = [int(n) for n in n_list]
+    n_list = _checked_sizes(n_list, least=8)  # solve_alpha_n needs n >= 8
     params = {"h_hat": hv, "n_list": n_list, "n_paths": n_paths,
               "master_seed": master_seed}
     deriv = f_ratio_derivatives(hv - 0.5, hv).d1
@@ -472,6 +486,8 @@ def run_factorization_suite(alphas: Sequence[float] = (0.2, -0.2, 0.3, -0.3),
     """
     t0 = time.time()
     alphas = [_symbol_value(a) for a in alphas]
+    if not alphas:
+        raise ValueError("need at least one exponent")
     params = {"alphas": alphas, "k_max": k_max}
     records = []
     for a in alphas:
@@ -521,6 +537,9 @@ def _stratified_pairs(n: int, n_samples: int, rng) -> list:
     return pairs[:n_samples]
 
 
+_DENSE_MAX_N = 8192  # the dense inverse reference's size limit
+
+
 def run_inverse_entries(alpha, n: int = 512, n_samples: int = 200,
                         master_seed: int = DEFAULT_MASTER_SEED) -> ExperimentReport:
     """Inverse entries of T_n(g_{-alpha}) against the reflection-envelope
@@ -530,9 +549,16 @@ def run_inverse_entries(alpha, n: int = 512, n_samples: int = 200,
     entry to the envelope kernel, and passes when the required fraction of
     absolute ratios stays inside the band.  alpha = 0 has no kernel (constant
     symbol) and is reported as a skip.
+
+    n must lie in 2..8192: the dense reference holds the n x n matrix, the
+    n^2 index array it is built from and its inverse, about 2 GiB at n = 8192.
     """
     t0 = time.time()
     a = _symbol_value(alpha)
+    if not 2 <= n <= _DENSE_MAX_N:
+        raise ValueError(f"n must lie in 2..{_DENSE_MAX_N} for the dense inverse")
+    if n_samples < 1:
+        raise ValueError("need at least one sampled pair")
     params = {"alpha": a, "n": n, "n_samples": n_samples,
               "master_seed": master_seed}
     if a == 0.0:
@@ -586,6 +612,8 @@ def run_moment_suite(dims: Sequence[int] = (2, 3, 4), n_max: int = 4,
     if n_max > MAX_ORDER:
         raise ValueError(f"n_max is capped at {MAX_ORDER}")
     dims = [int(d) for d in dims]
+    if not dims or trials < 1:
+        raise ValueError("need at least one size and one trial")
     params = {"dims": dims, "n_max": n_max, "trials": trials,
               "master_seed": master_seed}
     tol = THRESHOLDS["moment_rel_tol"]

@@ -86,14 +86,6 @@ class SymbolParam:
         object.__setattr__(self, "alpha", a)
 
     @property
-    def alpha_plus(self) -> float:
-        return max(self.alpha, 0.0)
-
-    @property
-    def alpha_minus(self) -> float:
-        return max(-self.alpha, 0.0)
-
-    @property
     def hurst(self) -> HurstParam:
         return HurstParam(self.alpha + 0.5)
 

@@ -193,6 +193,32 @@ def test_verify_slln_small_with_tol_scale(tmp_path, capsys):
     assert harness.THRESHOLDS == before  # context manager restored the table
 
 
+@pytest.mark.parametrize("argv", [
+    ["moments", "--paths", "0"],
+    ["inverse", "--n", "0"],
+    ["inverse", "--n", "20000"],
+    ["slln", "--alpha", "0.2", "--beta", "-0.1", "--paths", "0"],
+    ["concentration", "--nlist", "512,65537"],
+    ["concentration", "--nlist", "2048,512"],
+    ["determinant", "--nlist", "512"],
+    ["concentration", "--nlist", "4"],
+])
+def test_verify_given_zero_or_bad_size_is_usage_error(argv, tmp_path, capsys,
+                                                      monkeypatch):
+    # a flag given as 0 is passed on, not read as unset; every refusal comes
+    # before any sample, Durbin pass or dense matrix
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the input check")
+
+    for name in ("sample_fgn", "build_system", "toeplitz_matrix",
+                 "trace_powers"):
+        monkeypatch.setattr(harness, name, refuse)
+    rc, _, err = _run(capsys, "verify", *argv, "--out", str(tmp_path / "r"))
+    assert rc == 2
+    assert "error:" in err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_verify_inverse_skip_exits_nonzero(tmp_path, capsys):
     rc, out, _ = _run(capsys, "verify", "inverse", "--alpha", "0",
                       "--out", str(tmp_path / "r"))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from hurstbayes import harness
+from hurstbayes import fgn, harness
 from hurstbayes.harness import (DEFAULT_MASTER_SEED, INFO, THRESHOLDS,
                                 ExperimentRecord, ExperimentReport,
                                 _map_cells, read_report_json,
@@ -16,11 +16,13 @@ from hurstbayes.harness import (DEFAULT_MASTER_SEED, INFO, THRESHOLDS,
                                 run_moment_suite, run_slln, scaled_thresholds,
                                 szego_constant, write_report_csv,
                                 write_report_json)
-from hurstbayes.fgn import replicate_rng
+from hurstbayes.fgn import replicate_rng, sample_fgn
 from hurstbayes.moments import (QuadFormInstance, psi_composition_representation,
                                 psi_direct, theta_isserlis_oracle, theta_recursion,
                                 trace_powers)
-from hurstbayes.symbols import f_ratio_integral
+from hurstbayes.posterior import MAX_POSTERIOR_N
+from hurstbayes.symbols import autocov_seq, f_ratio_integral
+from hurstbayes.toeplitz import build_system, quad_form
 
 
 def test_record_coerces_to_plain_python():
@@ -133,7 +135,87 @@ def test_slln_input_validation():
     with pytest.raises(ValueError):
         run_slln(0.2, -0.1, n_list=(128, 64))
     with pytest.raises(ValueError):
-        run_slln(0.2, -0.1, n_list=(16384,))
+        run_slln(0.2, -0.1, n_list=(MAX_POSTERIOR_N + 1,))
+
+
+def test_slln_draws_without_a_dense_matrix(monkeypatch):
+    # every cell draws through sample_fgn's circulant embedding: no dense
+    # covariance and no Cholesky factor, so sizes past the old 8192 cap run
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_slln must not build a dense covariance")
+
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    monkeypatch.setattr(fgn, "toeplitz_matrix", refuse)
+    rep = run_slln(0.2, -0.1, n_list=(64, 16384), seeds=2)
+    assert len(rep.records) == 4 and rep.verdict in ("pass", "fail")
+
+
+def test_slln_cell_draw_is_sample_fgn():
+    rep = run_slln(0.2, -0.1, n_list=(64,), seeds=(3,))
+    xi = sample_fgn(-0.1 + 0.5, 64, spacing=1.0,
+                    rng=replicate_rng(DEFAULT_MASTER_SEED, 3 * 100_000 + 64))
+    want = quad_form(build_system(autocov_seq(0.2 + 0.5, 64)), xi.increments) / 64
+    assert rep.records[0].statistic == want
+
+
+def test_size_lists_checked_before_any_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no sample or Durbin pass before the size check")
+
+    monkeypatch.setattr(harness, "sample_fgn", refuse)
+    monkeypatch.setattr(harness, "build_system", refuse)
+    too_long = (512, MAX_POSTERIOR_N + 1)
+    calls = [
+        lambda: run_slln(0.2, -0.1, n_list=too_long),
+        lambda: run_determinant(0.9, n_list=too_long),
+        lambda: run_concentration(0.7, n_list=too_long, n_paths=10),
+        lambda: run_slln(0.2, -0.1, n_list=(2048, 512)),
+        lambda: run_determinant(0.9, n_list=(2048, 512)),
+        lambda: run_concentration(0.7, n_list=(2048, 512), n_paths=10),
+        lambda: run_concentration(0.7, n_list=(4, 512), n_paths=10),
+        lambda: run_determinant(0.9, n_list=(512,)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="n_list|sizes"):
+            call()
+
+
+def test_empty_counts_are_refused(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no sample or Durbin pass for an empty count")
+
+    monkeypatch.setattr(harness, "sample_fgn", refuse)
+    monkeypatch.setattr(harness, "build_system", refuse)
+    calls = [
+        lambda: run_slln(0.2, -0.1, n_list=(64,), seeds=0),
+        lambda: run_slln(0.2, -0.1, n_list=(64,), seeds=[]),
+        lambda: run_concentration(0.7, n_list=[], n_paths=10),
+        lambda: run_moment_suite(trials=0),
+        lambda: run_moment_suite(dims=()),
+        lambda: run_factorization_suite(()),
+        lambda: run_inverse_entries(0.3, n=64, n_samples=0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_report_with_no_records_cannot_pass():
+    with pytest.raises(ValueError, match="no records"):
+        ExperimentReport("x", {}, (), "pass", 0.0)
+    assert ExperimentReport("x", {}, (), "skip", 0.0).verdict == "skip"
+    assert ExperimentReport("x", {}, (), "fail", 0.0).verdict == "fail"
+
+
+def test_inverse_size_refused_before_any_allocation(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no dense matrix past the size limit")
+
+    monkeypatch.setattr(harness, "toeplitz_matrix", refuse)
+    monkeypatch.setattr(harness, "autocov_seq", refuse)
+    for n in (0, 1, harness._DENSE_MAX_N + 1, 20_000):
+        with pytest.raises(ValueError, match="dense inverse"):
+            run_inverse_entries(0.3, n=n)
 
 
 def test_slln_divergent_refusal_and_growth():

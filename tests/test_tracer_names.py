@@ -36,3 +36,13 @@ def test_tracer_caches_have_cache_info():
                if not callable(getattr(getattr(importlib.import_module(module), attr, None),
                                        "cache_info", None))]
     assert not missing
+
+
+def test_worker_jit_kernel_names_resolve():
+    # perfbench/worker.py counts compiled kernels at start-up through
+    # _levinson.HAVE_JIT and, under numba, the two kernels' ``signatures``
+    from hurstbayes import _levinson
+    assert isinstance(_levinson.HAVE_JIT, bool)
+    if _levinson.HAVE_JIT:
+        assert len(_levinson._durbin_jit.signatures) >= 0
+        assert len(_levinson._solve_jit.signatures) >= 0
