@@ -29,12 +29,17 @@ for the DCT-II and its inverse for the DCT-III; each DST is a DCT of the
 sign-alternated or reversed input), and the Gamma-function constants come
 from ``math``, so the module needs numpy alone.
 
-The smooth remainder depends on |t| only, so each check evaluates its
-lattice sums once, on those positive points.  One outer root r is built from
-them per exponent and feeds every diagnostic: the grid identity
-|q|^2 g_alpha = 1 is checked as max | |r(t)|^2 * smooth(t) - 1 | over the
-positive points (|r|^2 is even), since |w|^2 g_alpha equals smooth
-identically, and the q-residual and r-decay fits read the same coefficients.
+The smooth remainder depends on |t| only, so its lattice sums are evaluated
+once, on those positive points.  One outer root r is built from them per
+exponent and feeds every diagnostic: the grid identity |q|^2 g_alpha = 1 is
+checked as max | |r(t)|^2 * smooth(t) - 1 | over the positive points (|r|^2
+is even), since |w|^2 g_alpha equals smooth identically, and the q-residual
+and r-decay fits read the same coefficients.  The smooth samples and r
+depend on the exponent alone, so each is built once per exponent per
+process and kept for the last ``_OUTER_ROOT_CACHE`` = 8 exponents (about
+384 KiB each); they are shared by every caller, so their arrays, and the r
+that ``whitening_coeffs`` returns, are read-only.  The anti-analytic
+warning is checked on every call, cached or not.
 """
 from __future__ import annotations
 
@@ -259,12 +264,22 @@ def _smooth_half(av: float, log2_m: int) -> np.ndarray:
     return smooth_part(av, _positive_midpoints(log2_m))
 
 
+# exponents whose outer root stays built: 8 x (256 + 128) KiB at m = 2^16
+_OUTER_ROOT_CACHE = 8
+
+
+@lru_cache(maxsize=_OUTER_ROOT_CACHE)
 def _outer_root(av: float):
     """Smooth-remainder samples on the m/2 positive midpoints of the default
     grid and the outer root r of their reciprocal psi^2 = 1/smooth; one
-    lattice pass."""
+    lattice pass per exponent per process.  Both arrays are shared by every
+    caller, hence read-only; the anti-analytic check is the caller's, so it
+    warns on every call, not on the first alone."""
     smooth = _smooth_half(av, DEFAULT_LOG2_GRID)
-    return smooth, _even_outer_root(1.0 / smooth)
+    r = _even_outer_root(1.0 / smooth)
+    for a in (smooth, r.values):
+        a.flags.writeable = False
+    return smooth, r
 
 
 @lru_cache(maxsize=8)
@@ -368,12 +383,19 @@ def _even_outer_root(f_half: np.ndarray) -> FourierCoeffs:
     negative = (c[1:n] - s[1:n]) / (2 * n)
     scale = max(np.max(np.abs(positive)), np.max(np.abs(negative)))
     residual = float(np.max(np.abs(negative)) / scale)
-    if residual > _ANTI_ANALYTIC_TOL:
+    # a copy, so the discarded upper half is not kept alive behind a view
+    return FourierCoeffs(positive[:n // 2 + 1].copy(), residual)
+
+
+def _checked_root(r: FourierCoeffs) -> FourierCoeffs:
+    # warns on behalf of the public function that called it (stacklevel 3:
+    # that function's caller)
+    if r.anti_analytic > _ANTI_ANALYTIC_TOL:
         warnings.warn(
-            f"negative-frequency content {residual:.2e} above tolerance; "
+            f"negative-frequency content {r.anti_analytic:.2e} above tolerance; "
             "input may be insufficiently smooth for the requested accuracy",
             RuntimeWarning, stacklevel=3)
-    return FourierCoeffs(positive[:n // 2 + 1], residual)
+    return r
 
 
 def analytic_sqrt(f_samples: np.ndarray) -> FourierCoeffs:
@@ -395,7 +417,7 @@ def analytic_sqrt(f_samples: np.ndarray) -> FourierCoeffs:
         raise ValueError("samples must be finite and strictly positive")
     if np.max(np.abs(f - f[::-1])) > 1e-12 * np.max(f):
         raise ValueError("samples must be even: f(-t) = f(t) on the midpoint grid")
-    return _even_outer_root(f[m // 2:])
+    return _checked_root(_even_outer_root(f[m // 2:]))
 
 
 def whitening_coeffs(alpha):
@@ -404,9 +426,11 @@ def whitening_coeffs(alpha):
     Returns (w, r, q): binomial coefficients of (1-z)^alpha, the outer-root
     coefficients of psi^2 = 1/smooth, and their convolution q_hat, all
     indexed 0..m/4.  The coefficients are real, since the symbol is even.
+    r is built once per exponent per process and shared by every caller:
+    its ``values`` are read-only.  w and q are the caller's own.
     """
     av = _symbol_value(alpha)
-    r = _outer_root(av)[1]
+    r = _checked_root(_outer_root(av)[1])
     w, q = _whiten(av, r)
     return w, r, q
 
@@ -429,7 +453,7 @@ def factorization_identity_error(alpha, r: FourierCoeffs) -> float:
     is max | |r(t)|^2 * smooth(t) - 1 |, taken over the positive midpoints:
     both factors are even."""
     av = _symbol_value(alpha)
-    return _identity_error(r, _smooth_half(av, DEFAULT_LOG2_GRID))
+    return _identity_error(r, _outer_root(av)[0])
 
 
 def _identity_error(r: FourierCoeffs, smooth_half: np.ndarray) -> float:
@@ -466,7 +490,7 @@ def r_coefficient_decay(alpha, k_max: Optional[int] = None) -> DecayFit:
     window, the window is shrunk (with a warning) until they clear it.
     """
     av = _symbol_value(alpha)
-    return _r_decay_fit(av, _outer_root(av)[1], k_max)
+    return _r_decay_fit(av, _checked_root(_outer_root(av)[1]), k_max)
 
 
 def _r_decay_fit(av: float, r: FourierCoeffs, k_max: Optional[int]) -> DecayFit:
@@ -520,6 +544,7 @@ def q_coefficient_check(alpha, k_max: int = 10_000) -> QCheckReport:
     if k_max > (1 << DEFAULT_LOG2_GRID) // 4:
         raise ValueError("k_max must not exceed a quarter of the grid")
     smooth, r = _outer_root(av)
+    _checked_root(r)
     # the slope fit reads q_hat up to k_max only
     w, q = _whiten(av, r, k_max)
     c_alpha = r.at_zero()

@@ -190,6 +190,12 @@ def _report(name: str, params: dict, records, verdict: bool | str,
                             time.time() - t0)
 
 
+def _check_threads(threads: Optional[int]):
+    # None or 1 runs the cells serially; checked before any work
+    if threads is not None and threads < 1:
+        raise ValueError("threads must be at least 1")
+
+
 def _map_cells(fn, cells, threads: Optional[int]):
     """Apply fn over cells, optionally on a thread pool; order preserved.
     Each pooled cell runs in a copy of the caller's context, so it reads the
@@ -236,6 +242,7 @@ def run_slln(alpha, beta, n_list: Sequence[int] = (512, 2048, 8192),
     t0 = time.time()
     a, b = _symbol_value(alpha), _symbol_value(beta)
     n_list = _checked_sizes(n_list)
+    _check_threads(threads)
     seed_list = list(range(seeds)) if isinstance(seeds, int) else [int(s) for s in seeds]
     if not seed_list:
         raise ValueError("need at least one seed")
@@ -409,6 +416,7 @@ def run_concentration(h_hat, n_list: Sequence[int] = (1024, 4096),
     if n_paths < 10:
         raise ValueError("need at least 10 paths for stable averages")
     n_list = _checked_sizes(n_list, least=8)  # solve_alpha_n needs n >= 8
+    _check_threads(threads)
     params = {"h_hat": hv, "n_list": n_list, "n_paths": n_paths,
               "master_seed": master_seed}
     deriv = f_ratio_derivatives(hv - 0.5, hv).d1
@@ -478,9 +486,10 @@ def run_factorization_suite(alphas: Sequence[float] = (0.2, -0.2, 0.3, -0.3),
     """Whitening-coefficient checks per singularity exponent: identity on the
     grid, q-hat residual decay, r-hat decay, and the w-hat tail constant.
 
-    The first three come from one q_coefficient_check per exponent, i.e. one
-    lattice pass over half of the default 2^16-point grid.  That grid limits
-    the identity check: truncating r at m/4 leaves an error of about
+    The first three come from one q_coefficient_check per exponent, i.e. at
+    most one lattice pass per exponent per process over half of the default
+    2^16-point grid (a repeated exponent reuses its outer root).  That grid
+    limits the identity check: truncating r at m/4 leaves an error of about
     m^-(2+2 alpha), which passes the 1e-6 tolerance only for alpha above
     about -0.375 (at alpha = -0.4 it measures 2.0e-6).
     """

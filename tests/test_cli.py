@@ -202,6 +202,10 @@ def test_verify_slln_small_with_tol_scale(tmp_path, capsys):
     ["concentration", "--nlist", "2048,512"],
     ["determinant", "--nlist", "512"],
     ["concentration", "--nlist", "4"],
+    ["slln", "--alpha", "0.2", "--beta", "-0.1", "--threads", "0"],
+    ["slln", "--alpha", "0.2", "--beta", "-0.1", "--threads", "-3"],
+    ["concentration", "--threads", "0"],
+    ["concentration", "--threads", "-3"],
 ])
 def test_verify_given_zero_or_bad_size_is_usage_error(argv, tmp_path, capsys,
                                                       monkeypatch):

@@ -281,11 +281,9 @@ def test_w_asymptotics_classical_constant():
         w_asymptotics(0.0)
 
 
-@pytest.mark.parametrize("alpha", [0.2, -0.3])
-def test_suite_evaluates_lattice_once_on_half_grid(alpha, monkeypatch):
-    # one q_coefficient_check per exponent feeds the identity, q-residual and
-    # r-decay records: a single lattice pass over the 2^15 positive midpoints
-    # (the norming constant is a closed form and evaluates no lattice sum)
+@pytest.fixture
+def lattice_points(monkeypatch):
+    # sizes of the lattice_sum_regular calls made while the test runs
     points = []
     original = symbols.lattice_sum_regular
 
@@ -295,10 +293,80 @@ def test_suite_evaluates_lattice_once_on_half_grid(alpha, monkeypatch):
 
     monkeypatch.setattr(symbols, "lattice_sum_regular", counting)
     monkeypatch.setattr(factorization, "lattice_sum_regular", counting)
+    return points
+
+
+@pytest.mark.parametrize("alpha", [0.2, -0.3])
+def test_suite_evaluates_lattice_once_on_half_grid(alpha, lattice_points):
+    # one q_coefficient_check per exponent feeds the identity, q-residual and
+    # r-decay records: a single lattice pass over the 2^15 positive midpoints
+    # (the norming constant is a closed form and evaluates no lattice sum),
+    # and none at all once the exponent's outer root is built
+    _outer_root.cache_clear()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         run_factorization_suite([alpha])
-    assert sum(points) == 1 << 15
+        assert sum(lattice_points) == 1 << 15
+        run_factorization_suite([alpha])
+    assert sum(lattice_points) == 1 << 15
+
+
+def test_identity_error_reuses_the_whitening_root(lattice_points):
+    # whitening_coeffs then factorization_identity_error: one lattice pass
+    _outer_root.cache_clear()
+    _, r, _ = whitening_coeffs(0.2)
+    assert sum(lattice_points) == 1 << 15
+    err = factorization_identity_error(0.2, r)
+    assert sum(lattice_points) == 1 << 15
+    assert err < 1e-6
+
+
+@pytest.mark.filterwarnings("ignore:decay-fit window shrunk:RuntimeWarning")
+@pytest.mark.parametrize("alpha", [0.2, -0.3])
+def test_cached_root_equals_fresh_build(alpha):
+    _outer_root.cache_clear()
+    miss = run_factorization_suite([alpha])
+    miss_w = whitening_coeffs(alpha)
+    hit = run_factorization_suite([alpha])
+    hit_w = whitening_coeffs(alpha)
+    assert _outer_root.cache_info().hits == 3
+    assert [r.statistic for r in hit.records] == [r.statistic for r in miss.records]
+    (w1, r1, q1), (w2, r2, q2) = miss_w, hit_w
+    assert np.array_equal(w1, w2) and np.array_equal(q1, q2)
+    assert np.array_equal(r1.values, r2.values)
+
+
+def test_cached_root_is_read_only():
+    smooth, r = _outer_root(0.2)
+    assert whitening_coeffs(0.2)[1] is r
+    for shared in (r.values, smooth):
+        with pytest.raises(ValueError):
+            shared[0] = 1.0
+    w, _, q = whitening_coeffs(0.2)
+    w[0] = q[0] = 0.0  # the caller's own arrays stay writeable
+
+
+def test_anti_analytic_warning_on_cache_hit(monkeypatch):
+    # the tolerance is checked on every call, not only when the root is built
+    monkeypatch.setattr(factorization, "_ANTI_ANALYTIC_TOL", 0.0)
+    _outer_root.cache_clear()
+    for _ in range(2):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            q_coefficient_check(0.2)
+        hits = [w for w in caught if "negative-frequency" in str(w.message)]
+        assert len(hits) == 1
+        assert hits[0].filename == __file__
+    assert _outer_root.cache_info().hits == 1
+
+
+def test_outer_root_cache_is_bounded():
+    _outer_root.cache_clear()
+    for alpha in np.linspace(-0.25, 0.25, 10):
+        _outer_root(float(alpha))
+    info = _outer_root.cache_info()
+    assert info.misses == 10
+    assert info.currsize <= info.maxsize == factorization._OUTER_ROOT_CACHE
 
 
 @pytest.mark.parametrize("alpha", [0.2, -0.3])

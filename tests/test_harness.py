@@ -180,6 +180,22 @@ def test_size_lists_checked_before_any_work(monkeypatch):
             call()
 
 
+def test_threads_below_one_refused_before_any_work(monkeypatch):
+    serial = run_slln(0.2, -0.1, n_list=(64,), seeds=2)
+    assert run_slln(0.2, -0.1, n_list=(64,), seeds=2, threads=1).records == serial.records
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no sample or Durbin pass before the thread check")
+
+    monkeypatch.setattr(harness, "sample_fgn", refuse)
+    monkeypatch.setattr(harness, "build_system", refuse)
+    for threads in (0, -3):
+        with pytest.raises(ValueError, match="threads"):
+            run_slln(0.2, -0.1, n_list=(64,), seeds=2, threads=threads)
+        with pytest.raises(ValueError, match="threads"):
+            run_concentration(0.7, n_list=(1024,), n_paths=10, threads=threads)
+
+
 def test_empty_counts_are_refused(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("no sample or Durbin pass for an empty count")
