@@ -6,11 +6,11 @@ symmetric Toeplitz matrix T.  Every product with T^{-1} (quadratic forms,
 solves) follows from that predictor by the Gohberg-Semencul formula in
 O(n log n), with no second O(n^2) pass.
 
-The recursion is compiled with numba when available (the default); a
-vectorised numpy kernel keeps the package importable without a working JIT.
-Both kernels return a ``status``: 0 for success, otherwise the 1-based
-order at which the recursion lost positive definiteness (reflection
-magnitude >= 1 - 1e-12 or nonpositive prediction variance).
+The recursion is one numpy kernel: per order, one inner product and one
+vectorised symmetric update of the predictor.  It returns a ``status``: 0
+for success, otherwise the 1-based order at which the recursion lost
+positive definiteness (reflection magnitude >= 1 - 1e-12 or nonpositive
+prediction variance).
 """
 from __future__ import annotations
 
@@ -25,6 +25,9 @@ _BREAKDOWN = 1.0 - 1e-12
 # longer than this, so one pass stays on one thread
 DOT_CHUNK = 8192
 _dot = np.dot
+# there is no compiled kernel; perfbench/worker.py reads this flag to report
+# the kernel backend and count compiled signatures
+HAVE_JIT = False
 
 
 def _chunked_dot(a, b):
@@ -35,7 +38,12 @@ def _chunked_dot(a, b):
     return acc
 
 
-def _durbin_py(gam):
+def durbin(gam):
+    """Reflection coefficients, prediction variances, status and the order
+    n-1 forward predictor a_1..a_{n-1} (x_t is predicted by
+    sum_j a_j x_{t-j}; valid when status is 0) of a symmetric
+    positive-definite Toeplitz matrix given its first row ``gam``."""
+    gam = np.ascontiguousarray(gam, dtype=float)
     n = gam.shape[0]
     refl = np.zeros(max(n - 1, 0))
     sig = np.empty(n)
@@ -44,7 +52,7 @@ def _durbin_py(gam):
     ar = np.zeros(n)
     sig[0] = gam[0]
     if gam[0] <= 0.0:
-        return refl, sig, ar[:0:-1], 1
+        return refl, sig, 1, ar[:0:-1]
     s = sig[0]
     for m in range(1, n):
         seg = ar[n - m + 1:]
@@ -54,71 +62,15 @@ def _durbin_py(gam):
             dot = _chunked_dot(seg, gam[1:m])
         k = (gam[m] - dot) / s
         if not math.isfinite(k) or abs(k) >= _BREAKDOWN:
-            return refl, sig, ar[:0:-1], m
+            return refl, sig, m, ar[:0:-1]
         seg -= k * seg[::-1]
         ar[n - m] = k
         refl[m - 1] = k
         s = s * (1.0 - k * k)
         sig[m] = s
         if s <= 0.0:
-            return refl, sig, ar[:0:-1], m
-    return refl, sig, ar[:0:-1], 0
-
-
-try:  # pragma: no cover - exercised indirectly
-    from numba import njit
-
-    @njit(cache=True, nogil=True)
-    def _durbin_jit(gam):
-        n = gam.shape[0]
-        refl = np.zeros(max(n - 1, 0))
-        sig = np.empty(n)
-        a = np.zeros(max(n - 1, 0))
-        sig[0] = gam[0]
-        if gam[0] <= 0.0:
-            return refl, sig, a, 1
-        for m in range(1, n):
-            acc = gam[m]
-            for j in range(1, m):
-                acc -= a[j - 1] * gam[m - j]
-            k = acc / sig[m - 1]
-            if not np.isfinite(k) or abs(k) >= _BREAKDOWN:
-                return refl, sig, a, m
-            half = (m - 1) // 2
-            for j in range(half):
-                u = a[j] - k * a[m - 2 - j]
-                v = a[m - 2 - j] - k * a[j]
-                a[j] = u
-                a[m - 2 - j] = v
-            if (m - 1) % 2 == 1:
-                a[half] -= k * a[half]
-            a[m - 1] = k
-            refl[m - 1] = k
-            sig[m] = sig[m - 1] * (1.0 - k * k)
-            if sig[m] <= 0.0:
-                return refl, sig, a, m
-        return refl, sig, a, 0
-
-    # the benchmark worker still counts compiled signatures under the name
-    # of the fused solve kernel this module used to carry
-    _solve_jit = _durbin_jit
-    HAVE_JIT = True
-except Exception:  # pragma: no cover
-    _durbin_jit = _solve_jit = None
-    HAVE_JIT = False
-
-
-def durbin(gam):
-    """Reflection coefficients, prediction variances, status and the order
-    n-1 forward predictor a_1..a_{n-1} (x_t is predicted by
-    sum_j a_j x_{t-j}; valid when status is 0) of a symmetric
-    positive-definite Toeplitz matrix given its first row ``gam``."""
-    gam = np.ascontiguousarray(gam, dtype=float)
-    if HAVE_JIT:
-        refl, sig, pred, status = _durbin_jit(gam)
-    else:
-        refl, sig, pred, status = _durbin_py(gam)
-    return refl, sig, int(status), pred
+            return refl, sig, m, ar[:0:-1]
+    return refl, sig, 0, ar[:0:-1]
 
 
 def _fft_len(n):

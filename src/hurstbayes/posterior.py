@@ -9,14 +9,16 @@ with Q_n the Toeplitz quadratic form; the sample's own scaling enters only
 through Q_n, never through a plug-in estimate of H.  The posterior is
 evaluated exactly on an adaptive grid: a coarse scan, then ``_REFINE_ROUNDS``
 = 2 rounds of ``_REFINE_NODES`` = 64 nodes spanning +-``_WINDOW_CELLS`` = 8
-cells around the mode.  A Gaussian large-n approximation with the exact
-centering alpha_n and curvature c_n is provided alongside for comparison.
+cells around the mode, and up to 3 more while the mode's neighbourhood is
+sparsely sampled; each node costs one Durbin pass.  A Gaussian large-n
+approximation with the exact centering alpha_n and curvature c_n is provided
+alongside for comparison.
 
 The exponent surrogate kappa(a) = n a log n - (n/2) n^{2(a - h)} F(a) and its
 derivatives drive the asymptotics: alpha_n is the root of kappa', located
 inside an explicit bracket built from the extrema of the limit ratio F at
-``_SCAN_POINTS`` = 48 points of (h - 1/2 + ``EPS_MARGIN``, 1), with
-``EPS_MARGIN`` = 0.05.
+``_SCAN_POINTS`` = 48 points of (h - 1/2 + ``EPS_MARGIN``, ``GRID_MAX``],
+with ``EPS_MARGIN`` = 0.05 and ``GRID_MAX`` = 1 - 1e-3.
 """
 from __future__ import annotations
 
@@ -139,11 +141,14 @@ def _log_prior_values(prior, nodes: np.ndarray) -> np.ndarray:
 
 def _check_sample(y) -> np.ndarray:
     """The sample as a contiguous float vector; rejects input the likelihood
-    cannot score (empty, non-finite, or with an overflowing |y|^2) and warns
-    on an all-zero sample."""
+    cannot score (empty, longer than ``MAX_POSTERIOR_N``, non-finite, or with
+    an overflowing |y|^2) and warns on an all-zero sample."""
     y = np.ascontiguousarray(y, dtype=float)
     if y.ndim != 1 or y.size < 1:
         raise ValueError("need a nonempty sample vector")
+    if y.size > MAX_POSTERIOR_N:
+        raise ValueError(f"sample has {y.size} values; the exact posterior "
+                         f"grid is capped at n <= {MAX_POSTERIOR_N}")
     if not np.all(np.isfinite(y)):
         raise ValueError("sample contains non-finite values")
     with np.errstate(over="ignore"):
@@ -206,9 +211,10 @@ def log_posterior(y, nodes,
     ``prior`` is a density on (0, 1); None means uniform.  ``nodes`` must be
     a 1-d sequence of at least ``_MIN_NODES`` = 64 distinct values inside
     [1e-3, 1 - 1e-3], else ``ValueError`` before any Durbin pass.  A sample
-    with non-finite values or an overflowing scale is rejected.  Nodes where
-    the Toeplitz factorization fails or gives a non-finite term are dropped
-    with a warning; everything failing is an error.
+    longer than ``MAX_POSTERIOR_N``, with non-finite values or with an
+    overflowing scale is rejected.  Nodes where the Toeplitz factorization
+    fails or gives a non-finite term are dropped with a warning; everything
+    failing is an error.
     """
     y = _check_sample(y)
     nodes = np.asarray(nodes, dtype=float)
@@ -261,7 +267,8 @@ def posterior_grid(y, prior: Optional[Callable[[float], float]] = None,
     """Adaptive posterior evaluation: a scan of ``coarse`` nodes, then
     ``_REFINE_ROUNDS`` refinement rounds of ``_REFINE_NODES`` nodes spanning
     +-``_WINDOW_CELLS`` current cells around the mode.  The returned grid
-    merges every evaluated node.  A sample longer than ``MAX_POSTERIOR_N``
+    merges every evaluated node, each scored by exactly one Durbin pass even
+    where windows share nodes.  A sample longer than ``MAX_POSTERIOR_N``
     is rejected with ``ValueError`` before any Durbin pass.  A sample scaled
     so badly that its log posterior cannot be normalized is rejected with
     ``ValueError`` as soon as the coarse scan shows it."""
@@ -270,17 +277,17 @@ def posterior_grid(y, prior: Optional[Callable[[float], float]] = None,
     if coarse < _MIN_NODES:
         raise ValueError(f"coarse grid needs at least {_MIN_NODES} nodes")
     y = _check_sample(y)
-    if y.size > MAX_POSTERIOR_N:
-        raise ValueError(f"sample has {y.size} values; the exact posterior "
-                         f"grid is capped at n <= {MAX_POSTERIOR_N}")
     evaluated: dict[float, float] = {}
 
     def run_round(points: np.ndarray):
-        logk, ok = _log_kernel_nodes(y, points)
-        for u, val, good in zip(points, logk, ok):
+        # a window end can be a node of the last round: score only new nodes
+        fresh = points[[float(u) not in evaluated for u in points]]
+        logk, ok = _log_kernel_nodes(y, fresh)
+        for u, val, good in zip(fresh, logk, ok):
             if good:
                 evaluated[float(u)] = float(val)
-        return points[ok], logk[ok]
+        kept = points[[float(u) in evaluated for u in points]]
+        return kept, np.array([evaluated[float(u)] for u in kept])
 
     kept, vals = run_round(np.linspace(grid_min, grid_max, coarse))
     if kept.size == 0:
@@ -289,18 +296,18 @@ def posterior_grid(y, prior: Optional[Callable[[float], float]] = None,
         # a badly scaled sample already shows in the coarse round's log
         # densities: reject it here rather than after every refinement
         _sample_grid(y, kept, vals)
-    for _ in range(_REFINE_ROUNDS):
+    # _REFINE_ROUNDS rounds, then up to 3 more until the mode neighbourhood
+    # is densely sampled (>= 32 nodes within +-5 sd), which the fixed
+    # windows can undershoot at large n
+    for done in range(_REFINE_ROUNDS + 3):
         if kept.size == 0:
             break
-        kept, vals = run_round(_refine_window(kept, int(np.argmax(vals))))
-    # the mode neighbourhood must end up densely sampled (>= 32 nodes within
-    # +-5 sd); at large n the fixed windows can undershoot, so top up
-    for _ in range(3):
-        nodes = np.array(sorted(evaluated))
-        logk = np.array([evaluated[u] for u in nodes])
-        mode, sd = _mode_spread(nodes, logk)
-        if np.sum(np.abs(nodes - mode) <= 5.0 * sd) >= 32 or kept.size == 0:
-            break
+        if done >= _REFINE_ROUNDS:
+            nodes = np.array(sorted(evaluated))
+            logk = np.array([evaluated[u] for u in nodes])
+            mode, sd = _mode_spread(nodes, logk)
+            if np.sum(np.abs(nodes - mode) <= 5.0 * sd) >= 32:
+                break
         kept, vals = run_round(_refine_window(kept, int(np.argmax(vals))))
     nodes = np.array(sorted(evaluated))
     logk = np.array([evaluated[u] for u in nodes])
@@ -431,15 +438,16 @@ class AsymptoticSummary:
 
 
 def _scan_domain(h: float) -> tuple:
-    # integrability needs alpha > h - 1/2 + EPS_MARGIN; the density itself
-    # needs alpha inside (0, 1), so the scan interval is the intersection
-    return max(h - 0.5 + EPS_MARGIN + 1e-6, 1e-3), 1.0 - 1e-6
+    # integrability needs alpha > h - 1/2 + EPS_MARGIN; the posterior grid
+    # spans [GRID_MIN, GRID_MAX], so the scan interval is the intersection
+    return max(h - 0.5 + EPS_MARGIN + 1e-6, GRID_MIN), GRID_MAX
 
 
 @lru_cache(maxsize=64)
 def _ratio_extrema(h: float):
-    """Grid extrema of alpha -> F(alpha) over (h - 1/2 + EPS_MARGIN, 1), each
-    value from the same fixed-rule ratio integral as ``f_ratio_derivatives``."""
+    """Grid extrema of alpha -> F(alpha) over (h - 1/2 + EPS_MARGIN,
+    GRID_MAX], each value from the same fixed-rule ratio integral as
+    ``f_ratio_derivatives``."""
     lo, hi = _scan_domain(h)
     vals = np.array([_ratio_value(a, h)
                      for a in np.linspace(lo, hi, _SCAN_POINTS)])
@@ -483,9 +491,9 @@ def solve_alpha_n(n: int, h_hat, ratio_fn=None) -> AsymptoticSummary:
 
     The bracket [h - (log 2 + log M)/log n, h + (log 2 - log m)/log n] comes
     from the extrema m, M of the limit ratio F at ``_SCAN_POINTS`` points of
-    (h - 1/2 + EPS_MARGIN, 1); the root is then pinned by Newton steps on
-    kappa'' from h, safeguarded by bisection inside the bracket.  If the bracket shows no sign change it is
-    widened once before giving up.
+    (h - 1/2 + EPS_MARGIN, GRID_MAX]; the root is then pinned by Newton steps
+    on kappa'' from h, safeguarded by bisection inside the bracket.  If the
+    bracket shows no sign change it is widened once before giving up.
     """
     if n < 8:
         raise ValueError("asymptotic summary needs n >= 8")

@@ -21,7 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _levinson
-from .symbols import AutocovSeq, autocov_seq, sinai_density, _hurst_value
+from .symbols import AutocovSeq, sinai_density, _hurst_value
+# autocov_seq is not called here; perfbench/tracing.py wraps this name
+from .symbols import autocov_seq  # noqa: F401
 
 __all__ = [
     "ToeplitzSystem", "NotPositiveDefiniteError", "build_system", "quad_form",
@@ -93,17 +95,15 @@ def _dense_factor(gammas: np.ndarray, failed_order: int):
 def build_system(cov, n: int | None = None) -> ToeplitzSystem:
     """Factor the n x n Toeplitz matrix of an autocovariance sequence.
 
-    ``cov`` may be an :class:`AutocovSeq`, a raw first row, or a Hurst value
-    (in which case the closed-form autocovariance is generated).
+    ``cov`` is an :class:`AutocovSeq` or a raw first row, which must be a
+    nonempty 1-d sequence; ``n`` keeps only its first n entries.
     """
     if isinstance(cov, AutocovSeq):
         gammas = cov.gammas
-    elif isinstance(cov, (float, int)) and not isinstance(cov, bool):
-        if n is None:
-            raise ValueError("n is required when passing a Hurst parameter")
-        gammas = autocov_seq(cov, n).gammas
     else:
         gammas = np.asarray(cov, dtype=float)
+    if gammas.ndim != 1 or gammas.size < 1:
+        raise ValueError("the first row must be a nonempty 1-d sequence")
     if n is not None:
         if n < 1 or n > gammas.size:
             raise ValueError("n must lie in 1..len(gammas)")

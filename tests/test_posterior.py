@@ -98,6 +98,20 @@ def test_unscorable_samples_rejected():
             posterior_grid(bad)
 
 
+def test_over_length_sample_refused_before_any_node(monkeypatch):
+    # both entry points share one sample check, the size ceiling included,
+    # so neither scores a node of a sample past MAX_POSTERIOR_N
+    def no_nodes(*args):
+        raise AssertionError("a node was scored before the size check")
+
+    monkeypatch.setattr(posterior, "_log_kernel_nodes", no_nodes)
+    y = np.full(posterior.MAX_POSTERIOR_N + 1, 0.01)
+    with pytest.raises(ValueError, match=str(posterior.MAX_POSTERIOR_N)):
+        log_posterior(y, np.linspace(0.1, 0.9, 64))
+    with pytest.raises(ValueError, match=str(posterior.MAX_POSTERIOR_N)):
+        posterior_grid(y)
+
+
 def test_badly_scaled_sample_names_its_scale():
     # a finite |y|^2 can still push the log densities so far from 0 that one
     # ulp of the float log_norm breaks the normalization check; that must be
@@ -256,6 +270,28 @@ def test_posterior_grid_adaptive_invariants():
     assert np.sum(np.abs(grid.nodes - est) <= 5.0 * sd) >= 32
 
 
+@pytest.mark.parametrize("top_up", [False, True], ids=["fixed-rounds", "top-up"])
+def test_posterior_grid_scores_each_node_once(top_up, monkeypatch):
+    # a refinement window's end nodes were scored by the round before it;
+    # every node of the grid costs exactly one Durbin pass, also when a
+    # too-narrow spread forces the top-up rounds
+    from hurstbayes import _levinson
+    real = _levinson.durbin
+    passes = []
+
+    def counting(gam):
+        passes.append(gam.size)
+        return real(gam)
+
+    monkeypatch.setattr(_levinson, "durbin", counting)
+    if top_up:
+        monkeypatch.setattr(posterior, "_mode_spread",
+                            lambda nodes, logd: (float(nodes[np.argmax(logd)]), 1e-9))
+    grid = posterior_grid(sample_fgn(0.7, 256, seed=11).increments)
+    assert len(passes) == grid.nodes.size
+    assert grid.nodes.size == 128 + (5 if top_up else 2) * 62
+
+
 def test_posterior_grid_bounds_validation():
     y = np.ones(8)
     with pytest.raises(ValueError):
@@ -324,7 +360,7 @@ def test_solve_frozen_values():
 
 
 def test_solve_bounded_near_one():
-    # the bracket's upper end is clipped to just below 1, where F' carries
+    # the bracket's upper end is clipped to GRID_MAX, near which F' carries
     # d log C_h / dh ~ -1/(1 - h); the fixed rule must still return promptly
     start = time.perf_counter()
     for h in (0.85, 0.9, 0.95):
@@ -333,6 +369,14 @@ def test_solve_bounded_near_one():
         assert lo < summary.alpha_n < hi
         assert math.isfinite(summary.c_n) and summary.c_n > 0.0
     assert time.perf_counter() - start < 5.0
+
+
+def test_alpha_scan_stops_at_grid_max():
+    # the ratio scan and the bracket end at the posterior grid's upper end:
+    # F grows to about 2e5 as alpha nears 1, which would widen m_const
+    near_one = solve_alpha_n(1024, 0.95)
+    assert near_one.bracket[1] <= posterior.GRID_MAX
+    assert solve_alpha_n(4096, 0.7).m_const < 7.0
 
 
 def test_solve_rejects_small_samples():

@@ -28,15 +28,9 @@ def test_levinson_matches_dense(h, n):
     assert fused_quad == pytest.approx(quad_form(system, y), rel=1e-12)
 
 
-@pytest.fixture(params=["numpy", "jit"])
-def kernel_backend(request, monkeypatch):
-    """Run a test once per Levinson kernel: the numpy fallback everywhere,
-    the numba kernel wherever numba imports."""
-    if request.param == "numpy":
-        monkeypatch.setattr(_levinson, "HAVE_JIT", False)
-    else:
-        pytest.importorskip("numba")
-        assert _levinson.HAVE_JIT
+@pytest.fixture(params=["numpy"])
+def kernel_backend(request):
+    """The one Levinson kernel, numpy; the parameter names it in test ids."""
     return request.param
 
 
@@ -112,12 +106,17 @@ def test_build_system_input_forms():
     seq = autocov_seq(0.6, 16)
     a = build_system(seq)
     b = build_system(seq.gammas)
-    c = build_system(0.6, n=16)
+    c = build_system(list(seq.gammas))
     assert a.logdet == b.logdet == c.logdet
-    with pytest.raises(ValueError):
-        build_system(0.6)  # Hurst form needs n
     truncated = build_system(seq, 8)
     assert truncated.n == 8
+    assert truncated.logdet == build_system(seq.gammas[:8]).logdet
+    # a first row must be a nonempty 1-d sequence; a Hurst value is not one
+    for bad in ([], np.empty(0), np.eye(3), 0.6):
+        with pytest.raises(ValueError, match="nonempty 1-d"):
+            build_system(bad)
+    with pytest.raises(ValueError):
+        build_system(seq, 17)
 
 
 def test_prediction_variances_monotone():
@@ -157,15 +156,14 @@ def test_dense_fallback_matches_dense_oracle(gam):
 
 
 def test_numpy_durbin_dots_stay_within_one_chunk(monkeypatch):
-    # OpenBLAS threads a dot product above about 10^4 entries; the numpy
-    # kernel sums its dots over chunks of at most DOT_CHUNK entries instead
+    # OpenBLAS threads a dot product above about 10^4 entries; the kernel
+    # sums its dots over chunks of at most DOT_CHUNK entries instead
     sizes = []
 
     def recording_dot(a, b):
         sizes.append(a.size)
         return np.dot(a, b)
 
-    monkeypatch.setattr(_levinson, "HAVE_JIT", False)
     monkeypatch.setattr(_levinson, "_dot", recording_dot)
     n = 20_000
     gam = autocov_seq(0.7, n).gammas
